@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
 import signal
 import sys
 import time
@@ -84,6 +85,13 @@ _DATA_ERRORS = (
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # library progress (one line per training epoch) and warnings go to stderr
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    package_logger = logging.getLogger("kgembed")
+    previous_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -95,6 +103,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENV
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(previous_level)
 
 
 # --------------------------------------------------------------------------
@@ -373,16 +384,25 @@ def cmd_train(args) -> int:
 
     started = time.perf_counter()
     sentences = read_corpus_tokens(args.corpus)
+    read_done = time.perf_counter()
     model = train(sentences, cfg, workers=args.workers)
+    train_done = time.perf_counter()
     save_model(model, args.out)
-    append_manifest(
-        manifest_path(args.out),
-        {
-            "vocabulary_size": len(model.vocabulary),
-            "final_loss": f"{model.epoch_losses[-1]:.6f}" if model.epoch_losses else "",
-            "timing.train_seconds": f"{time.perf_counter() - started:.3f}",
-        },
-    )
+    save_done = time.perf_counter()
+    entries = {
+        "vocabulary_size": len(model.vocabulary),
+        "final_loss": f"{model.epoch_losses[-1]:.6f}" if model.epoch_losses else "",
+    }
+    for n, stats in enumerate(model.epoch_stats, start=1):
+        entries[f"epoch.{n}.loss"] = f"{stats.loss:.6f}"
+        entries[f"epoch.{n}.seconds"] = f"{stats.seconds:.3f}"
+        entries[f"epoch.{n}.pairs_per_second"] = f"{stats.pairs_per_s:.0f}"
+        entries[f"epoch.{n}.row_updates"] = stats.row_updates
+        entries[f"epoch.{n}.rows_clipped"] = stats.rows_clipped
+    entries["timing.read_seconds"] = f"{read_done - started:.3f}"
+    entries["timing.train_seconds"] = f"{train_done - read_done:.3f}"
+    entries["timing.save_seconds"] = f"{save_done - train_done:.3f}"
+    append_manifest(manifest_path(args.out), entries)
     print(f"trained {len(model.vocabulary)} vectors of dimension {cfg.dimension} -> {args.out}")
     return EXIT_OK
 

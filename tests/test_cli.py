@@ -164,6 +164,24 @@ class TestTrainCommand:
         assert manifest["strategy"] == "Light_12_3_SG_16"
         assert manifest["learning_rate"] == "0.025"
 
+    def test_epoch_counters_and_phase_timings_in_manifest(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        _, corpus = run_walk(tmp_path, graph_file, entities_file)
+        model_file = tmp_path / "model.txt"
+        rc = main(["train", "--corpus", str(corpus), "--dim", "8", "--epochs", "2", "--out", str(model_file)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "epoch=1" in err and "epoch=2" in err
+        manifest = read_manifest(manifest_path(model_file))
+        for n in (1, 2):
+            for key in ("loss", "seconds", "pairs_per_second", "row_updates", "rows_clipped"):
+                assert f"epoch.{n}.{key}" in manifest
+            assert 0 <= int(manifest[f"epoch.{n}.rows_clipped"]) <= int(manifest[f"epoch.{n}.row_updates"])
+        assert "epoch.3.loss" not in manifest
+        assert manifest["epoch.2.loss"] == manifest["final_loss"]
+        for phase in ("read", "train", "save"):
+            assert float(manifest[f"timing.{phase}_seconds"]) >= 0
+
     def test_min_count_filtering_everything_exit_4(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b c\n")

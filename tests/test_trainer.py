@@ -1,8 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixtures import bidirectional_neighborhood, two_cluster_fixture
 from kgembed.trainer import (
+    _MAX_ROW_UPDATE,
+    _add_rows_clipped,
+    _process_cbow_chunk,
+    _process_sg_chunk,
     EmptyCorpusError,
     EmptyVocabularyError,
     ModelFormatError,
@@ -205,12 +213,24 @@ class TestTraining:
         model = train(sentences, TrainConfig(mode="sg", dimension=8, epochs=1, negatives=0, seed=0))
         assert np.isfinite(model.vectors).all()
 
-    def test_progress_reported_on_stderr(self, cluster_corpus, capsys):
+    def test_progress_logged_per_epoch(self, cluster_corpus, caplog):
         _, _, _, sentences = cluster_corpus
-        train(sentences, TrainConfig(mode="sg", dimension=4, epochs=2, negatives=2, seed=0))
-        err = capsys.readouterr().err
-        assert "epoch=1" in err and "epoch=2" in err
-        assert "tokens/sec=" in err and "loss=" in err
+        with caplog.at_level(logging.INFO, logger="kgembed"):
+            train(sentences, TrainConfig(mode="sg", dimension=4, epochs=2, negatives=2, seed=0))
+        text = caplog.text
+        assert "epoch=1" in text and "epoch=2" in text
+        assert "tokens/sec=" in text and "loss=" in text
+
+    @pytest.mark.parametrize("mode", ["sg", "cbow"])
+    def test_epoch_stats_recorded(self, cluster_corpus, mode):
+        _, _, _, sentences = cluster_corpus
+        model = train(sentences, TrainConfig(mode=mode, dimension=8, epochs=3, negatives=3, seed=0))
+        assert len(model.epoch_stats) == 3
+        assert model.epoch_losses == [e.loss for e in model.epoch_stats]
+        for stats in model.epoch_stats:
+            assert stats.seconds > 0 and stats.pairs_per_s > 0
+            assert stats.row_updates > 0
+            assert 0 <= stats.rows_clipped <= stats.row_updates
 
     def test_config_validation(self):
         for bad in (
@@ -230,6 +250,189 @@ class TestTraining:
         assert TrainConfig(mode="sg").learning_rate == 0.025
         assert TrainConfig(mode="cbow").learning_rate == 0.05
         assert TrainConfig(mode="sg", initial_learning_rate=0.1).learning_rate == 0.1
+
+
+# --------------------------------------------------------------------------
+# The reduce-by-key kernels against the np.add.at kernels they replaced
+# --------------------------------------------------------------------------
+
+F32_TOL = dict(rtol=1e-5, atol=1e-6)
+
+
+def _reference_scatter_add_clipped(table, indices, updates):
+    if indices.size == 0:
+        return
+    uniq, inverse = np.unique(indices, return_inverse=True)
+    buf = np.zeros((uniq.size, table.shape[1]), dtype=table.dtype)
+    np.add.at(buf, inverse, updates)
+    norms = np.sqrt((buf * buf).sum(axis=1))
+    np.maximum(norms, _MAX_ROW_UPDATE, out=norms)
+    buf *= (_MAX_ROW_UPDATE / norms)[:, None]
+    table[uniq] += buf
+
+
+def _reference_sg_chunk(w_in, w_out, centers, contexts, negatives, lr):
+    dim = w_out.shape[1]
+    vc = w_in[centers]
+    uo = w_out[contexts]
+    pos = np.einsum("bd,bd->b", vc, uo)
+    gp = 1.0 - 1.0 / (1.0 + np.exp(-pos))
+    loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
+    duo = gp[:, None] * vc
+    if negatives.size:
+        un = w_out[negatives]
+        ns = np.einsum("bd,bkd->bk", vc, un)
+        live = negatives != contexts[:, None]
+        gn = np.where(live, -1.0 / (1.0 + np.exp(-ns)), np.float32(0.0))
+        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
+        dvc = gp[:, None] * uo + np.einsum("bk,bkd->bd", gn, un)
+        dun = gn[..., None] * vc[:, None, :]
+        out_rows = np.concatenate([contexts, negatives.ravel()])
+        out_updates = np.concatenate([lr * duo, (lr * dun).reshape(-1, dim)])
+    else:
+        dvc = gp[:, None] * uo
+        out_rows, out_updates = contexts, lr * duo
+    _reference_scatter_add_clipped(w_in, centers, lr * dvc)
+    _reference_scatter_add_clipped(w_out, out_rows, out_updates)
+    return loss
+
+
+def _reference_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr):
+    dim = w_out.shape[1]
+    vctx = w_in[ctx]
+    counts = mask.sum(axis=1)
+    h = np.einsum("bwd,bw->bd", vctx, mask) / counts[:, None]
+    uc = w_out[centers]
+    pos = np.einsum("bd,bd->b", h, uc)
+    gp = 1.0 - 1.0 / (1.0 + np.exp(-pos))
+    loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
+    dh = gp[:, None] * uc
+    duc = gp[:, None] * h
+    if negatives.size:
+        un = w_out[negatives]
+        ns = np.einsum("bd,bkd->bk", h, un)
+        live = negatives != centers[:, None]
+        gn = np.where(live, -1.0 / (1.0 + np.exp(-ns)), np.float32(0.0))
+        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
+        dh = dh + np.einsum("bk,bkd->bd", gn, un)
+        dun = gn[..., None] * h[:, None, :]
+        out_rows = np.concatenate([centers, negatives.ravel()])
+        out_updates = np.concatenate([lr * duc, (lr * dun).reshape(-1, dim)])
+    else:
+        out_rows, out_updates = centers, lr * duc
+    _reference_scatter_add_clipped(w_out, out_rows, out_updates)
+    dctx = (lr / counts)[:, None, None] * dh[:, None, :] * mask[..., None]
+    _reference_scatter_add_clipped(w_in, ctx.ravel(), dctx.reshape(-1, dim))
+    return loss
+
+
+def _tables(rng, vocab, dim):
+    w_in = (rng.random((vocab, dim)) - 0.5).astype(np.float32)
+    w_out = (rng.random((vocab, dim)) - 0.5).astype(np.float32)
+    return w_in, w_out
+
+
+def _draws(rng, positives, vocab, k):
+    negatives = rng.integers(0, vocab, size=(positives.shape[0], k))
+    if k:
+        negatives[0, 0] = positives[0]  # a draw equal to the positive
+    return negatives
+
+
+class TestReduceByKeyKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        vocab=st.integers(1, 6),
+        dim=st.integers(1, 5),
+        n=st.integers(0, 25),
+        sources=st.integers(1, 5),
+        scale=st.sampled_from([0.01, 1.0, 10.0]),
+    )
+    @example(seed=0, vocab=4, dim=3, n=0, sources=2, scale=1.0)  # empty input
+    @example(seed=1, vocab=4, dim=3, n=1, sources=1, scale=1.0)  # a single row
+    @example(seed=2, vocab=1, dim=3, n=12, sources=3, scale=0.01)  # one row, many duplicates
+    @example(seed=3, vocab=3, dim=4, n=20, sources=4, scale=10.0)  # totals past the clip
+    def test_matches_add_at_and_clip(self, seed, vocab, dim, n, sources, scale):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(vocab, dim)).astype(np.float32)
+        rows = rng.integers(0, vocab, size=n)
+        owner = rng.integers(0, sources, size=n)
+        src = rng.normal(size=(sources, dim)).astype(np.float32)
+        weights = (scale * rng.normal(size=n)).astype(np.float32)
+
+        expected = table.copy()
+        _reference_scatter_add_clipped(expected, rows, weights[:, None] * src[owner])
+        updated, clipped = _add_rows_clipped(table, rows, src, owner, weights)
+
+        np.testing.assert_allclose(table, expected, **F32_TOL)
+        assert updated == np.unique(rows).size
+        totals = np.zeros((vocab, dim))
+        np.add.at(totals, rows, weights[:, None].astype(np.float64) * src[owner])
+        norms = np.linalg.norm(totals, axis=1)
+        assert (norms > _MAX_ROW_UPDATE * 1.001).sum() <= clipped <= (norms > _MAX_ROW_UPDATE * 0.999).sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        vocab=st.integers(1, 12),
+        dim=st.integers(1, 6),
+        batch=st.integers(1, 20),
+        k=st.integers(0, 4),
+        lr=st.sampled_from([0.025, 0.5, 4.0]),
+    )
+    @example(seed=0, vocab=5, dim=3, batch=6, k=0, lr=0.5)  # negatives=0
+    def test_sg_chunk_matches_reference(self, seed, vocab, dim, batch, k, lr):
+        rng = np.random.default_rng(seed)
+        w_in, w_out = _tables(rng, vocab, dim)
+        centers = rng.integers(0, vocab, size=batch)
+        contexts = rng.integers(0, vocab, size=batch)
+        negatives = _draws(rng, contexts, vocab, k)
+        lr = np.float32(lr)
+
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        ref_loss = _reference_sg_chunk(ref_in, ref_out, centers, contexts, negatives, lr)
+        loss, examples, updated, clipped = _process_sg_chunk(w_in, w_out, centers, contexts, negatives, lr)
+
+        assert examples == batch
+        assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
+        np.testing.assert_allclose(w_in, ref_in, **F32_TOL)
+        np.testing.assert_allclose(w_out, ref_out, **F32_TOL)
+        assert updated == np.unique(centers).size + np.unique(np.concatenate([contexts, negatives.ravel()])).size
+        assert 0 <= clipped <= updated
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        vocab=st.integers(1, 12),
+        dim=st.integers(1, 6),
+        batch=st.integers(1, 20),
+        window=st.integers(1, 3),
+        k=st.integers(0, 4),
+        lr=st.sampled_from([0.05, 0.5, 4.0]),
+    )
+    @example(seed=0, vocab=5, dim=3, batch=6, window=2, k=0, lr=0.5)  # negatives=0
+    def test_cbow_chunk_matches_reference(self, seed, vocab, dim, batch, window, k, lr):
+        rng = np.random.default_rng(seed)
+        w_in, w_out = _tables(rng, vocab, dim)
+        centers = rng.integers(0, vocab, size=batch)
+        ctx = rng.integers(0, vocab, size=(batch, 2 * window))
+        mask = (rng.random((batch, 2 * window)) < 0.6).astype(np.float32)
+        mask[:, 0] = 1.0  # every group keeps at least one live slot
+        negatives = _draws(rng, centers, vocab, k)
+        lr = np.float32(lr)
+
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        ref_loss = _reference_cbow_chunk(ref_in, ref_out, centers, ctx, mask, negatives, lr)
+        loss, examples, updated, clipped = _process_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr)
+
+        assert examples == batch
+        assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
+        np.testing.assert_allclose(w_in, ref_in, **F32_TOL)
+        np.testing.assert_allclose(w_out, ref_out, **F32_TOL)
+        live_slots = ctx[mask > 0]
+        assert updated == np.unique(live_slots).size + np.unique(np.concatenate([centers, negatives.ravel()])).size
+        assert 0 <= clipped <= updated
 
 
 class TestModelFiles:
