@@ -59,6 +59,8 @@ from .walker import (
 
 EXIT_OK, EXIT_USAGE, EXIT_ENV, EXIT_DATA = 0, 2, 3, 4
 
+logger = logging.getLogger(__name__)
+
 
 class UsageError(ValueError):
     pass
@@ -520,6 +522,13 @@ def cmd_serve(args) -> int:
     model = load_model(args.model)
     server = build_server(model, args.host, args.port, model_id=Path(args.model).name)
     port = server.server_address[1]
+    zero_rows = int(server.index.zero.sum())
+    if zero_rows:
+        logger.warning(
+            "%d of %d vectors are zero: left out of neighbour lists, queries on them answer 422",
+            zero_rows,
+            len(model.vocabulary),
+        )
     write_manifest(
         Path(f"{args.model}.serve.manifest"),
         {
@@ -531,6 +540,9 @@ def cmd_serve(args) -> int:
             "port": port,
             "vocabulary_size": len(model.vocabulary),
             "dimension": model.dimension,
+            "index.rows": len(model.vocabulary),
+            "index.zero_rows": zero_rows,
+            "timing.index_seconds": f"{server.index_seconds:.3f}",
         },
     )
     print(

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .trainer import EmbeddingModel
-from .vector_ops import ZeroVectorError, cosine, harmonic_mean, pearson, spearman
+from .vector_ops import ZeroVectorError, cosine, harmonic_mean, pearson, spearman, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +102,7 @@ def knn_predict(train_x: np.ndarray, train_y: Sequence[str], test_x: np.ndarray,
     sims = qx @ tx.T
     predictions = []
     for row in sims:
-        order = sorted(range(row.shape[0]), key=lambda i: (-row[i], i))[:k]
+        order = top_k(row, k)
         votes: dict[str, int] = {}
         for i in order:
             votes[train_y[i]] = votes.get(train_y[i], 0) + 1

@@ -8,19 +8,28 @@ Endpoints (all GET):
   /closest-concepts?concept=IRI&top=K    nearest neighbours by cosine (default 10)
 
 Unknown concepts answer 404, missing or invalid parameters 400, both with a
-machine-readable JSON body. Keys are sorted, so identical requests produce
-identical bytes. The model is immutable and shared; handlers run concurrently
-with no write path.
+machine-readable JSON body. A concept whose vector is all zeros has no
+direction: it answers 422 ``{"error": "zero-vector", ...}`` on /similarity
+and /closest-concepts, and it never appears in a neighbour list. Keys are
+sorted, so identical requests produce identical bytes.
+
+The model is immutable and shared; handlers run concurrently with no write
+path. Its :class:`NeighborIndex` (float64 rows, norms, zero-row mask) is built
+once when the server starts. Responses go out with ``TCP_NODELAY``, so a
+keep-alive client never waits on Nagle's algorithm and its own delayed ACK
+between the headers and the body. A connection idle for
+``VectorServiceHandler.timeout`` seconds is closed.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .trainer import EmbeddingModel, UnknownTokenError
-from .vector_ops import cosine, nearest_neighbors
+from .vector_ops import NeighborIndex, ZeroVectorError, cosine
 
 
 class VectorServer(ThreadingHTTPServer):
@@ -30,6 +39,9 @@ class VectorServer(ThreadingHTTPServer):
         super().__init__(address, VectorServiceHandler)
         self.model = model
         self.model_id = model_id
+        started = time.perf_counter()
+        self.index = NeighborIndex(model)
+        self.index_seconds = time.perf_counter() - started
 
 
 def build_server(
@@ -46,6 +58,8 @@ def build_server(
 class VectorServiceHandler(BaseHTTPRequestHandler):
     server: VectorServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY: the body never waits for the ACK of the headers
+    timeout = 60  # seconds a connection may sit idle before it is closed
 
     def log_message(self, format, *args):  # keep request logging off the console
         pass
@@ -97,6 +111,10 @@ class VectorServiceHandler(BaseHTTPRequestHandler):
             if missing:
                 self._send(404, {"error": "unknown-concept", "concepts": missing})
                 return
+            zero = [c for c in (left, right) if self.server.index.is_zero(c)]
+            if zero:
+                self._send(422, {"error": "zero-vector", "concepts": zero})
+                return
             score = cosine(model.vector(left), model.vector(right))
             self._send(
                 200,
@@ -117,7 +135,11 @@ class VectorServiceHandler(BaseHTTPRequestHandler):
             if concept not in model.vocabulary:
                 self._send(404, {"error": "unknown-concept", "concept": concept})
                 return
-            neighbors = nearest_neighbors(model, concept, top)
+            try:
+                neighbors = self.server.index.query(concept, top)
+            except ZeroVectorError:
+                self._send(422, {"error": "zero-vector", "concept": concept})
+                return
             self._send(
                 200,
                 {

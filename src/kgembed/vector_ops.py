@@ -37,21 +37,61 @@ def cosine(u, v) -> float:
     return float(a @ b / (na * nb))
 
 
+def top_k(scores, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest ``scores``, by descending score with ties
+    broken by ascending index: the first ``k`` of all indices sorted by the
+    key ``(-score, index)``. ``k`` larger than ``len(scores)`` is capped. One
+    ``argpartition`` finds the k-th largest score; only the candidates at or
+    above it are sorted."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    s = np.asarray(scores)
+    n = s.shape[0]
+    if k >= n:
+        return np.argsort(-s, kind="stable")
+    kth = s[np.argpartition(s, n - k)[n - k]]
+    candidates = np.flatnonzero(s >= kth)
+    return candidates[np.argsort(-s[candidates], kind="stable")[:k]]
+
+
+class NeighborIndex:
+    """Cosine neighbour queries over a model's vectors, prepared once: the
+    float64 matrix, the row norms and the mask of zero-norm rows. Zero rows
+    never appear in a neighbour list; querying one raises
+    :class:`ZeroVectorError`. Read-only after construction, so threads may
+    share it."""
+
+    def __init__(self, model: EmbeddingModel):
+        self.vocabulary = model.vocabulary
+        self.matrix = model.vectors.astype(np.float64)
+        self.norms = np.linalg.norm(self.matrix, axis=1)
+        self.zero = self.norms == 0.0
+        self._live = np.flatnonzero(~self.zero)  # ascending, so index ties still break by vocabulary order
+
+    def is_zero(self, token: str) -> bool:
+        return bool(self.zero[self.vocabulary.index_of(token)])
+
+    def query(self, token: str, k: int = 10) -> list[tuple[str, float]]:
+        """See :func:`nearest_neighbors`."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        q = self.vocabulary.index_of(token)
+        if self.zero[q]:
+            raise ZeroVectorError(f"zero-norm vector for token {token!r}")
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero rows score nan and are left out
+            scores = (self.matrix @ self.matrix[q]) / (self.norms * self.norms[q])
+        order = self._live[top_k(scores[self._live], k + 1)]
+        tokens = self.vocabulary.tokens
+        return [(tokens[i], float(scores[i])) for i in order[order != q][:k]]
+
+
 def nearest_neighbors(model: EmbeddingModel, token: str, k: int = 10) -> list[tuple[str, float]]:
     """The ``k`` vocabulary tokens most cosine-similar to ``token``, query
     excluded, sorted by descending score with ties broken by ascending
-    vocabulary index. ``k`` larger than the vocabulary is capped."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query = model.vocabulary.index_of(token)
-    matrix = model.vectors.astype(np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVectorError(f"zero-norm vector for token {model.vocabulary.tokens[int(zero[0])]!r}")
-    scores = (matrix @ matrix[query]) / (norms * norms[query])
-    order = sorted((i for i in range(len(norms)) if i != query), key=lambda i: (-scores[i], i))
-    return [(model.vocabulary.tokens[i], float(scores[i])) for i in order[:k]]
+    vocabulary index. ``k`` larger than the vocabulary is capped. Zero-norm
+    rows are left out; a zero-norm ``token`` raises :class:`ZeroVectorError`.
+    Builds a :class:`NeighborIndex` per call; keep one to answer many."""
+    return NeighborIndex(model).query(token, k)
 
 
 def _correlation_inputs(xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -325,7 +325,7 @@ class TestServeCommand:
         import urllib.request
 
         model_file = tmp_path / "m.txt"
-        model_file.write_text("2 2\nhttp://ex/a 1 0\nhttp://ex/b 0 1\n")
+        model_file.write_text("3 2\nhttp://ex/a 1 0\nhttp://ex/b 0 1\nhttp://ex/z 0 0\n")
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "kgembed.cli", "serve",
              "--model", str(model_file), "--port", "0"],
@@ -335,7 +335,7 @@ class TestServeCommand:
         )
         try:
             line = proc.stdout.readline()
-            assert "2 vectors" in line and "dimension 2" in line
+            assert "3 vectors" in line and "dimension 2" in line
             port = int(re.search(r":(\d+)$", line.strip()).group(1))
             deadline = time.time() + 10
             body = None
@@ -352,6 +352,10 @@ class TestServeCommand:
             manifest = read_manifest(f"{model_file}.serve.manifest")
             assert manifest["command"] == "serve"
             assert manifest["dimension"] == "2"
+            assert manifest["index.rows"] == "3"
+            assert manifest["index.zero_rows"] == "1"
+            assert float(manifest["timing.index_seconds"]) >= 0.0
+            assert "1 of 3 vectors are zero" in proc.stderr.read()
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import star_fixture, two_cluster_fixture
 from kgembed.eval_harness import (
@@ -42,6 +44,42 @@ def make_model(tokens, vectors):
 def cos64(u, v):
     u, v = np.asarray(u, float), np.asarray(v, float)
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+def reference_knn_predict(train_x, train_y, test_x, k=3):
+    """The per-test-row Python sort that the shared top-k kernel replaced."""
+    tx = np.asarray(train_x, dtype=np.float64)
+    tx = tx / np.linalg.norm(tx, axis=1, keepdims=True)
+    qx = np.asarray(test_x, dtype=np.float64)
+    qx = qx / np.linalg.norm(qx, axis=1, keepdims=True)
+    sims = qx @ tx.T
+    predictions = []
+    for row in sims:
+        order = sorted(range(row.shape[0]), key=lambda i: (-row[i], i))[:k]
+        votes = {}
+        for i in order:
+            votes[train_y[i]] = votes.get(train_y[i], 0) + 1
+        best = max(votes.values())
+        tied = {label for label, n in votes.items() if n == best}
+        if len(tied) == 1:
+            predictions.append(next(iter(tied)))
+        else:
+            predictions.append(next(train_y[i] for i in order if train_y[i] in tied))
+    return predictions
+
+
+@st.composite
+def knn_problems(draw):
+    """Small integer-valued points (no zero rows): many exact similarity ties
+    and many vote ties."""
+    d = draw(st.integers(1, 3))
+    entry = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+    point = st.lists(entry, min_size=d, max_size=d)
+    train_x = draw(st.lists(point, min_size=1, max_size=20))
+    test_x = draw(st.lists(point, min_size=1, max_size=6))
+    train_y = draw(st.lists(st.sampled_from("abc"), min_size=len(train_x), max_size=len(train_x)))
+    k = draw(st.integers(1, len(train_x) + 2))
+    return np.array(train_x), train_y, np.array(test_x), k
 
 
 class TestFolds:
@@ -118,6 +156,20 @@ class TestKnn:
             tied = {y for y, c in counts.items() if c == best}
             expected.append(next(y for y in top if y in tied))
         assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(knn_problems())
+    def test_same_labels_as_reference_loop(self, problem):
+        train_x, train_y, test_x, k = problem
+        assert knn_predict(train_x, train_y, test_x, k) == reference_knn_predict(train_x, train_y, test_x, k)
+
+    def test_same_labels_as_reference_loop_on_random_points(self):
+        rng = np.random.default_rng(21)
+        train_x = rng.normal(size=(200, 8))
+        test_x = rng.normal(size=(40, 8))
+        train_y = [f"c{i % 4}" for i in range(200)]
+        for k in (1, 3, 10, 250):
+            assert knn_predict(train_x, train_y, test_x, k) == reference_knn_predict(train_x, train_y, test_x, k)
 
     def test_model_level_wrapper_drops_missing(self, caplog):
         model = make_model(["a", "b", "c", "d"], np.eye(4))

@@ -1,5 +1,10 @@
+import contextlib
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -8,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from kgembed.service import build_server
+from kgembed.service import VectorServiceHandler, build_server
 from kgembed.trainer import EmbeddingModel, Vocabulary
 from kgembed.vector_ops import cosine, nearest_neighbors
 
@@ -34,15 +39,30 @@ def model():
     return EmbeddingModel(vocab, vectors)
 
 
-@pytest.fixture(scope="module")
-def server(model):
-    srv = build_server(model, "127.0.0.1", 0, model_id="test-model")
+@contextlib.contextmanager
+def running(srv):
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture(scope="module")
+def server(model):
+    with running(build_server(model, "127.0.0.1", 0, model_id="test-model")) as srv:
+        yield srv
+
+
+@pytest.fixture(scope="module")
+def zero_row_server(model):
+    vectors = model.vectors.copy()
+    vectors[1] = 0.0
+    with running(build_server(EmbeddingModel(model.vocabulary, vectors), "127.0.0.1", 0)) as srv:
+        yield srv
 
 
 def get(server, path, params=None):
@@ -164,3 +184,71 @@ class TestServiceBehavior:
             results = list(pool.map(fetch, range(16)))
         first = results[0]
         assert all(r == first for r in results)
+
+
+class TestZeroRow:
+    """TOKENS[1] has an all-zero vector."""
+
+    def test_other_concepts_still_answer(self, zero_row_server):
+        for concept in (TOKENS[0], TOKENS[2], TOKENS[4]):
+            status, body = get(zero_row_server, "/closest-concepts", {"concept": concept, "top": 50})
+            assert status == 200
+            listed = [n["concept"] for n in body["neighbors"]]
+            assert TOKENS[1] not in listed
+            assert len(listed) == len(TOKENS) - 2
+
+    def test_zero_concept_closest_is_422(self, zero_row_server):
+        status, body = get(zero_row_server, "/closest-concepts", {"concept": TOKENS[1]})
+        assert status == 422
+        assert body == {"error": "zero-vector", "concept": TOKENS[1]}
+
+    def test_zero_operand_similarity_is_422(self, zero_row_server):
+        status, body = get(zero_row_server, "/similarity", {"left": TOKENS[0], "right": TOKENS[1]})
+        assert status == 422
+        assert body == {"error": "zero-vector", "concepts": [TOKENS[1]]}
+
+    def test_similarity_of_other_concepts_still_answers(self, zero_row_server, model):
+        status, body = get(zero_row_server, "/similarity", {"left": TOKENS[0], "right": TOKENS[2]})
+        assert status == 200
+        assert body["similarity"] == cosine(model.vector(TOKENS[0]), model.vector(TOKENS[2]))
+
+    def test_zero_vector_still_served(self, zero_row_server):
+        status, body = get(zero_row_server, "/get-vector", {"concept": TOKENS[1]})
+        assert status == 200
+        assert body["vector"] == [0.0] * 6
+
+
+class TestConnections:
+    def test_back_to_back_keepalive_requests_do_not_stall(self, server):
+        # with Nagle on, the body of each response waits ~40 ms for the
+        # client's delayed ACK of the headers
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+        path = "/get-vector?" + urllib.parse.urlencode({"concept": TOKENS[0]})
+        rtts = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                response.read()
+                rtts.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(rtts) < 0.020
+
+    def test_idle_timeout_is_set(self):
+        assert 0 < VectorServiceHandler.timeout <= 300
+
+    def test_idle_connection_closed_after_timeout(self, model):
+        class QuickTimeoutHandler(VectorServiceHandler):
+            timeout = 0.3
+
+        srv = build_server(model, "127.0.0.1", 0)
+        srv.RequestHandlerClass = QuickTimeoutHandler
+        with running(srv) as live:
+            with socket.create_connection(live.server_address, timeout=10) as sock:
+                sock.sendall(b"GET /hea")  # a partial request line, then silence
+                started = time.perf_counter()
+                assert sock.recv(1024) == b""  # the server closed the connection
+                assert time.perf_counter() - started < 5

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kgembed.trainer import EmbeddingModel, UnknownTokenError, Vocabulary
 from kgembed.vector_ops import (
     DegenerateVarianceError,
+    NeighborIndex,
     NonPositiveCorrelationError,
     ZeroVectorError,
     average_ranks,
@@ -16,6 +17,7 @@ from kgembed.vector_ops import (
     nearest_neighbors,
     pearson,
     spearman,
+    top_k,
 )
 
 
@@ -122,6 +124,124 @@ class TestNearestNeighbors:
         model = make_model(["a", "b"], [[1.0], [2.0]])
         with pytest.raises(ValueError):
             nearest_neighbors(model, "a", 0)
+
+
+def reference_top_k(scores, k):
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+
+
+def reference_nearest_neighbors(model, token, k=10):
+    """The per-call float64 copy and Python sort that NeighborIndex replaced."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    query = model.vocabulary.index_of(token)
+    matrix = model.vectors.astype(np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVectorError(f"zero-norm vector for token {model.vocabulary.tokens[int(zero[0])]!r}")
+    scores = (matrix @ matrix[query]) / (norms * norms[query])
+    order = sorted((i for i in range(len(norms)) if i != query), key=lambda i: (-scores[i], i))
+    return [(model.vocabulary.tokens[i], float(scores[i])) for i in order[:k]]
+
+
+# integer-valued scores tie heavily; floats mostly do not
+tie_heavy_scores = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40)
+float_scores = st.lists(st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=1, max_size=40)
+# entries from {-2, -1, 1, 2}: no zero rows, many parallel and duplicate rows
+nonzero_entries = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+
+
+@st.composite
+def tie_heavy_models(draw):
+    n = draw(st.integers(2, 25))
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(nonzero_entries, min_size=d, max_size=d), min_size=n, max_size=n))
+    return make_model([f"t{i}" for i in range(n)], rows)
+
+
+class TestTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tie_heavy_scores, float_scores), st.integers(1, 45))
+    def test_matches_sorted_reference(self, scores, k):
+        got = top_k(np.array(scores), k)
+        assert got.tolist() == reference_top_k(scores, k)
+
+    def test_ties_straddling_the_kth_position(self):
+        scores = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, 0.0])
+        # 3.0 at 1 and 3, then the 2.0 ties at 2, 4, 5 cut after the first
+        assert top_k(scores, 3).tolist() == [1, 3, 2]
+        assert top_k(scores, 4).tolist() == [1, 3, 2, 4]
+
+    def test_k_one_and_k_beyond_length(self):
+        scores = np.array([0.5, 0.9, 0.9])
+        assert top_k(scores, 1).tolist() == [1]
+        assert top_k(scores, 3).tolist() == [1, 2, 0]
+        assert top_k(scores, 10).tolist() == [1, 2, 0]
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError):
+            top_k(np.ones(3), 0)
+
+
+class TestNeighborIndexAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_models(), st.data())
+    def test_equal_to_reference_on_tie_heavy_models(self, model, data):
+        n = len(model.vocabulary)
+        token = f"t{data.draw(st.integers(0, n - 1))}"
+        k = data.draw(st.sampled_from([1, 2, 10, 50, n - 1, n, n + 5]))
+        assert nearest_neighbors(model, token, k) == reference_nearest_neighbors(model, token, k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.sampled_from([1, 10, 50]))
+    def test_equal_to_reference_on_random_models(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        model = make_model([f"t{i}" for i in range(n)], rng.normal(size=(n, 16)))
+        index = NeighborIndex(model)
+        for q in rng.integers(0, n, size=5):
+            token = f"t{q}"
+            expected = reference_nearest_neighbors(model, token, k)
+            assert index.query(token, k) == expected
+            assert nearest_neighbors(model, token, k) == expected
+
+
+class TestZeroRows:
+    def zero_row_model(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(8, 4))
+        vectors[3] = 0.0
+        return make_model([f"t{i}" for i in range(8)], vectors)
+
+    def test_index_flags_zero_rows(self):
+        index = NeighborIndex(self.zero_row_model())
+        assert index.zero.tolist() == [i == 3 for i in range(8)]
+        assert index.is_zero("t3") and not index.is_zero("t0")
+
+    def test_zero_rows_left_out_of_neighbor_lists(self):
+        model = self.zero_row_model()
+        for q in ("t0", "t7"):
+            result = nearest_neighbors(model, q, 99)
+            assert "t3" not in [t for t, _ in result]
+            assert len(result) == 6
+
+    def test_order_matches_the_model_without_the_zero_row(self):
+        model = self.zero_row_model()
+        keep = [i for i in range(8) if i != 3]
+        reduced = make_model([f"t{i}" for i in keep], model.vectors[keep])
+        for q in ("t0", "t5"):
+            got = nearest_neighbors(model, q, 4)
+            want = reference_nearest_neighbors(reduced, q, 4)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            assert [s for _, s in got] == pytest.approx([s for _, s in want], abs=1e-12)
+
+    def test_zero_query_raises(self):
+        with pytest.raises(ZeroVectorError):
+            nearest_neighbors(self.zero_row_model(), "t3", 5)
+
+    def test_only_zero_rows_besides_query(self):
+        model = make_model(["a", "z1", "z2"], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        assert nearest_neighbors(model, "a", 5) == []
 
 
 def pearson_oracle(xs, ys):
