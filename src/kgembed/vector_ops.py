@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .trainer import EmbeddingModel
@@ -41,7 +43,7 @@ def top_k(scores, k: int) -> np.ndarray:
     """Indices of the ``k`` largest ``scores``, by descending score with ties
     broken by ascending index: the first ``k`` of all indices sorted by the
     key ``(-score, index)``. ``k`` larger than ``len(scores)`` is capped. One
-    ``argpartition`` finds the k-th largest score; only the candidates at or
+    ``partition`` finds the k-th largest score; only the candidates at or
     above it are sorted."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -49,9 +51,9 @@ def top_k(scores, k: int) -> np.ndarray:
     n = s.shape[0]
     if k >= n:
         return np.argsort(-s, kind="stable")
-    kth = s[np.argpartition(s, n - k)[n - k]]
-    candidates = np.flatnonzero(s >= kth)
-    return candidates[np.argsort(-s[candidates], kind="stable")[:k]]
+    kth = np.partition(s, n - k)[n - k]
+    candidates = (s >= kth).nonzero()[0]
+    return candidates[(-s[candidates]).argsort(kind="stable")[:k]]
 
 
 class NeighborIndex:
@@ -66,23 +68,42 @@ class NeighborIndex:
         self.matrix = model.vectors.astype(np.float64)
         self.norms = np.linalg.norm(self.matrix, axis=1)
         self.zero = self.norms == 0.0
-        self._live = np.flatnonzero(~self.zero)  # ascending, so index ties still break by vocabulary order
+        # A zero row divides by inf and scores 0 with no warning; it is left out anyway.
+        self._divisors = np.where(self.zero, np.inf, self.norms)
+        # Ascending, so index ties still break by vocabulary order; None when every row is live.
+        self._live = np.flatnonzero(~self.zero) if self.zero.any() else None
 
     def is_zero(self, token: str) -> bool:
         return bool(self.zero[self.vocabulary.index_of(token)])
+
+    def similarity(self, left: str, right: str) -> float:
+        """:func:`cosine` of two tokens' vectors, the same float to the last
+        bit, read from the float64 rows; a zero-norm row raises
+        :class:`ZeroVectorError`."""
+        a = self.matrix[self.vocabulary.index_of(left)]
+        b = self.matrix[self.vocabulary.index_of(right)]
+        na = math.sqrt(a.dot(a))  # what np.linalg.norm computes for one vector
+        nb = math.sqrt(b.dot(b))
+        if na == 0.0 or nb == 0.0:
+            raise ZeroVectorError("cosine of a zero-norm vector is undefined")
+        return float(a @ b / (na * nb))
 
     def query(self, token: str, k: int = 10) -> list[tuple[str, float]]:
         """See :func:`nearest_neighbors`."""
         if k < 1:
             raise ValueError("k must be >= 1")
         q = self.vocabulary.index_of(token)
-        if self.zero[q]:
+        norm = self.norms[q]
+        if norm == 0.0:
             raise ZeroVectorError(f"zero-norm vector for token {token!r}")
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero rows score nan and are left out
-            scores = (self.matrix @ self.matrix[q]) / (self.norms * self.norms[q])
-        order = self._live[top_k(scores[self._live], k + 1)]
+        scores = (self.matrix @ self.matrix[q]) / (self._divisors * norm)
+        if self._live is None:
+            order = top_k(scores, k + 1)
+        else:
+            order = self._live[top_k(scores[self._live], k + 1)]
         tokens = self.vocabulary.tokens
-        return [(tokens[i], float(scores[i])) for i in order[order != q][:k]]
+        found = [(tokens[i], s) for i, s in zip(order.tolist(), scores[order].tolist()) if i != q]
+        return found[:k]
 
 
 def nearest_neighbors(model: EmbeddingModel, token: str, k: int = 10) -> list[tuple[str, float]]:

@@ -1,6 +1,8 @@
 import contextlib
 import http.client
+import io
 import json
+import re
 import socket
 import statistics
 import threading
@@ -9,11 +11,20 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgembed.service import VectorServiceHandler, build_server
+from kgembed.service import (
+    VectorServiceHandler,
+    _closest_concepts_json,
+    _first_values,
+    _split_target,
+    build_server,
+)
 from kgembed.trainer import EmbeddingModel, Vocabulary
 from kgembed.vector_ops import cosine, nearest_neighbors
 
@@ -252,3 +263,173 @@ class TestConnections:
                 started = time.perf_counter()
                 assert sock.recv(1024) == b""  # the server closed the connection
                 assert time.perf_counter() - started < 5
+
+
+class StdlibParseHandler(VectorServiceHandler):
+    parse_request = BaseHTTPRequestHandler.parse_request
+
+
+def parse_head(handler_class, raw: bytes) -> dict:
+    """Run one ``parse_request`` over ``raw`` and return what it decided,
+    what it wrote (Date values blanked) and what it left unread."""
+    handler = handler_class.__new__(handler_class)
+    handler.rfile = io.BufferedReader(io.BytesIO(raw))
+    handler.wfile = io.BytesIO()
+    handler.client_address = ("127.0.0.1", 0)
+    handler.command = None
+    handler.request_version = handler.default_request_version
+    handler.raw_requestline = handler.rfile.readline(65537)
+    ok = handler.parse_request()
+    return {
+        "ok": ok,
+        "command": handler.command,
+        "path": getattr(handler, "path", None),
+        "version": handler.request_version,
+        "close": handler.close_connection,
+        "headers": handler.headers.items() if ok else None,
+        "written": re.sub(rb"Date: [^\r]*", b"Date: -", handler.wfile.getvalue()),
+        "unread": handler.rfile.read(),
+    }
+
+
+request_lines = st.builds(
+    lambda method, target, sep, version: f"{method} {target}{sep}{version}".encode("latin-1") + b"\r\n",
+    st.sampled_from(["GET", "POST", "HEAD", "get"]),
+    st.text(alphabet="/?#=&%+ab\xa0\xe9", max_size=12).map(lambda t: "/" + t),
+    st.sampled_from([" ", "  ", "\t"]),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/1.1 x", "HTTP/1.x", ""]),
+)
+header_lines = st.lists(
+    st.sampled_from(
+        [
+            b"Host: 127.0.0.1:8080\r\n",
+            b"Accept-Encoding: identity\r\n",
+            b"Connection: close\r\n",
+            b"connection: Keep-Alive\r\n",
+            b"Expect: 100-continue\r\n",
+            b"X-Tight:value\r\n",
+            b"X-Spaced: \t value \t\r\n",
+            b"X-Bare-LF: v\n",
+            b"X-Empty:\r\n",
+            b"X-Latin: caf\xe9\r\n",
+            b"X-Dup: 1\r\n",
+            b"X-Dup: 2\r\n",
+            b"  folded continuation\r\n",
+            b"Bad Name: v\r\n",
+            b"no colon at all\r\n",
+            b": no name\r\n",
+            b"X-CR: a\rb\r\n",
+        ]
+    ),
+    max_size=6,
+)
+
+
+class TestRequestParsing:
+    """The handler's own request-head parse against the stdlib's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(request_lines, header_lines, st.sampled_from([b"\r\n", b"\n", b""]))
+    def test_same_outcome_as_stdlib(self, line, headers, end):
+        raw = line + b"".join(headers) + end + b"NEXT"
+        assert parse_head(VectorServiceHandler, raw) == parse_head(StdlibParseHandler, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(header_lines)
+    def test_header_lines_of_a_usual_request_line(self, headers):
+        raw = b"GET /get-vector?concept=a HTTP/1.1\r\n" + b"".join(headers) + b"\r\nNEXT"
+        assert parse_head(VectorServiceHandler, raw) == parse_head(StdlibParseHandler, raw)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"Expect: 100-continue\r\n", b"Bad Name: v\r\n", b"Connection: close\r\n", b"  folded\r\n"],
+    )
+    def test_headers_that_change_the_outcome(self, header):
+        raw = b"GET /health HTTP/1.1\r\nHost: h\r\n" + header + b"X-After: 1\r\n\r\nNEXT"
+        assert parse_head(VectorServiceHandler, raw) == parse_head(StdlibParseHandler, raw)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"X-Long: " + b"a" * 70000 + b"\r\n\r\n",
+            b"".join(b"X-%d: v\r\n" % i for i in range(99)) + b"\r\n",
+            b"".join(b"X-%d: v\r\n" % i for i in range(100)) + b"\r\n",
+            b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+        ],
+    )
+    def test_same_limits_as_stdlib(self, head):
+        raw = b"GET /health HTTP/1.1\r\n" + head + b"NEXT"
+        got = parse_head(VectorServiceHandler, raw)
+        assert got == parse_head(StdlibParseHandler, raw)
+
+    def test_oversized_header_line_answers_431(self, server):
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n")
+            assert sock.recv(1024).startswith(b"HTTP/1.1 431 ")
+
+
+class TestRequestTarget:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="/?#:@=&%.ab\x01\xe9", max_size=14))
+    def test_split_as_urlsplit(self, rest):
+        target = "/" + rest.lstrip("/")
+        url = urllib.parse.urlsplit(target)
+        assert _split_target(target) == (url.path, url.query)
+
+    def test_absolute_form_and_fragment(self):
+        assert _split_target("http://h:1/get-vector?concept=a") == ("/get-vector", "concept=a")
+        assert _split_target("/get-vector?concept=a#frag") == ("/get-vector", "concept=a")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab=&+%2FC3A9GZé;", max_size=16))
+    def test_first_values_as_parse_qs(self, query):
+        want = {name: values[0] for name, values in urllib.parse.parse_qs(query).items()}
+        assert _first_values(query) == want
+
+
+class TestClosestConceptsText:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(max_size=8),
+        st.text(max_size=8),
+        st.integers(1, 1000),
+        st.lists(st.tuples(st.text(max_size=8), st.floats(allow_subnormal=True)), max_size=6),
+    )
+    def test_equal_to_json_dumps(self, concept, model_id, top, neighbors):
+        payload = {
+            "concept": concept,
+            "model": model_id,
+            "top": top,
+            "neighbors": [{"concept": t, "score": s} for t, s in neighbors],
+        }
+        assert _closest_concepts_json(concept, model_id, top, neighbors) == json.dumps(payload, sort_keys=True)
+
+
+class TestResponseHead:
+    def send(self, status, payload):
+        handler = VectorServiceHandler.__new__(VectorServiceHandler)
+        handler.request_version = "HTTP/1.1"
+        writes = []
+        handler.wfile = type("Writes", (), {"write": lambda self, data: writes.append(data)})()
+        handler._send(status, payload)
+        return writes
+
+    def test_one_write_with_the_stdlib_status_line_and_headers(self):
+        writes = self.send(422, {"error": "zero-vector", "concept": "x"})
+        assert len(writes) == 1
+        head, body = writes[0].split(b"\r\n\r\n", 1)
+        assert body == json.dumps({"concept": "x", "error": "zero-vector"}).encode()
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 422 Unprocessable Entity"
+        assert lines[1] == f"Server: {BaseHTTPRequestHandler.server_version} {BaseHTTPRequestHandler.sys_version}"
+        assert lines[2].startswith("Date: ") and lines[2].endswith(" GMT")
+        assert lines[3:] == ["Content-Type: application/json", f"Content-Length: {len(body)}"]
+
+    def test_date_matches_the_stdlib_format(self):
+        handler = VectorServiceHandler.__new__(VectorServiceHandler)
+        stdlib = BaseHTTPRequestHandler.__new__(BaseHTTPRequestHandler)
+        for _ in range(3):
+            before = stdlib.date_time_string()
+            got = handler.date_time_string()
+            assert got in (before, stdlib.date_time_string())
+        assert handler.date_time_string(1e9) == stdlib.date_time_string(1e9)

@@ -206,6 +206,31 @@ class TestNeighborIndexAgainstReference:
             assert nearest_neighbors(model, token, k) == expected
 
 
+class TestIndexSimilarity:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 300))
+    def test_equal_to_cosine_to_the_last_bit(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-20, 20, size=(n, 1))
+        model = make_model([f"t{i}" for i in range(n)], rng.normal(size=(n, d)) * scale)
+        index = NeighborIndex(model)
+        for a, b in rng.integers(0, n, size=(8, 2)):
+            left, right = f"t{a}", f"t{b}"
+            assert index.similarity(left, right) == cosine(model.vector(left), model.vector(right))
+
+    def test_zero_row_raises(self):
+        index = NeighborIndex(make_model(["a", "z"], [[1.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(ZeroVectorError):
+            index.similarity("a", "z")
+        with pytest.raises(ZeroVectorError):
+            index.similarity("z", "z")
+
+    def test_unknown_token_raises(self):
+        index = NeighborIndex(make_model(["a"], [[1.0, 2.0]]))
+        with pytest.raises(UnknownTokenError):
+            index.similarity("a", "ghost")
+
+
 class TestZeroRows:
     def zero_row_model(self):
         rng = np.random.default_rng(5)
