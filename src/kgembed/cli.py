@@ -34,7 +34,7 @@ from .eval_harness import (
     results_csv,
     walk_density,
 )
-from .graph_io import ParseError, detect_format, load_graph
+from .graph_io import ParseError, ParseReport, detect_format, load_graph
 from .service import build_server
 from .trainer import (
     EmptyCorpusError,
@@ -301,7 +301,8 @@ def cmd_walk(args) -> int:
     write_manifest(manifest_path(args.out), manifest)
 
     load_started = time.perf_counter()
-    graph = load_graph(sources)
+    report = ParseReport()
+    graph = load_graph(sources, report=report)
     load_seconds = time.perf_counter() - load_started
 
     cfg = WalkConfig(
@@ -328,6 +329,13 @@ def cmd_walk(args) -> int:
             "entities_walked": len(corpus.entities),
             "missing_entities": len(corpus.missing_entities),
             "adjacency_lookups": corpus.adjacency_lookups,
+            "parse.triples": report.triples_emitted,
+            "parse.lines_skipped": report.lines_skipped,
+            "parse.errors": len(report.errors),
+            "parse.general_lines": report.general_lines,
+            "graph.tokens": graph.num_tokens,
+            "graph.nodes": graph.num_nodes,
+            "graph.edges": graph.num_edges,
             "timing.load_seconds": f"{load_seconds:.3f}",
             "timing.walk_seconds": f"{walk_seconds:.3f}",
         },

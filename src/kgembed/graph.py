@@ -10,6 +10,8 @@ from typing import IO, Iterable, Iterator
 from .graph_io import Triple, is_literal_token
 
 SNAPSHOT_MAGIC = b"KGL1"
+_EDGE = struct.Struct("<III")
+_READ_CHUNK = 1 << 24
 
 
 class UnknownNodeError(KeyError):
@@ -85,10 +87,7 @@ class KnowledgeGraph:
         """Insert one statement; returns False if it was already present."""
         if self._frozen:
             raise GraphFrozenError("graph is frozen; no triples can be added")
-        if is_literal_token(subject):
-            raise ValueError(f"literal token cannot be a subject: {subject!r}")
-        if is_literal_token(predicate):
-            raise ValueError(f"literal token cannot be a predicate: {predicate!r}")
+        _reject_literals(subject, predicate)
         s = self.intern(subject)
         p = self.intern(predicate)
         o = self.intern(object)
@@ -111,7 +110,21 @@ class KnowledgeGraph:
         return self.add_triple(triple.subject, triple.predicate, triple.object)
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        return sum(1 for t in triples if self.add(t))
+        """Insert every statement in order, as :meth:`add` would; returns the
+        number that were new. A term already interned costs one dictionary
+        lookup; ``intern`` runs only for statements with an unseen term."""
+        if self._frozen:
+            raise GraphFrozenError("graph is frozen; no triples can be added")
+        get, intern, add_edge = self._index.get, self.intern, self._add_edge_ids
+        literal = self._literal
+        before = len(self._triples)
+        for subject, predicate, obj in triples:
+            s, p, o = get(subject), get(predicate), get(obj)
+            if s is None or p is None or o is None or literal[s] or literal[p]:
+                _reject_literals(subject, predicate)
+                s, p, o = intern(subject), intern(predicate), intern(obj)
+            add_edge(s, p, o)
+        return len(self._triples) - before
 
     def freeze(self) -> "KnowledgeGraph":
         self._frozen = True
@@ -208,8 +221,7 @@ class KnowledgeGraph:
                 fh.write(raw)
             node_flags = bytes(self._node)
             fh.write(node_flags)
-            for s, p, o in self._triples:
-                fh.write(struct.pack("<III", s, p, o))
+            fh.write(b"".join(_EDGE.pack(*edge) for edge in self._triples))
 
     @classmethod
     def load_snapshot(cls, path: str | Path) -> "KnowledgeGraph":
@@ -227,8 +239,7 @@ class KnowledgeGraph:
                 except UnicodeDecodeError as exc:
                     raise SnapshotFormatError(f"undecodable token: {exc}") from None
             node_flags = _read_exact(fh, tokens, "node flags")
-            for _ in range(edges):
-                s, p, o = struct.unpack("<III", _read_exact(fh, 12, "edge"))
+            for s, p, o in _EDGE.iter_unpack(_read_exact(fh, _EDGE.size * edges, "edges")):
                 for i in (s, p, o):
                     if i >= tokens:
                         raise SnapshotFormatError(f"edge references token id {i} out of {tokens}")
@@ -246,8 +257,21 @@ class KnowledgeGraph:
         return g.freeze()
 
 
+def _reject_literals(subject: str, predicate: str) -> None:
+    if is_literal_token(subject):
+        raise ValueError(f"literal token cannot be a subject: {subject!r}")
+    if is_literal_token(predicate):
+        raise ValueError(f"literal token cannot be a predicate: {predicate!r}")
+
+
 def _read_exact(fh: IO[bytes], n: int, what: str) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise SnapshotFormatError(f"truncated snapshot while reading {what}")
-    return raw
+    # bounded reads: a corrupt count in the file must not make one read
+    # allocate more than the file holds
+    chunks = []
+    while n > 0:
+        chunk = fh.read(min(n, _READ_CHUNK))
+        if not chunk:
+            raise SnapshotFormatError(f"truncated snapshot while reading {what}")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)

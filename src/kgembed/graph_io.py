@@ -6,6 +6,18 @@ names, IRIs, quoted literals, predicate lists (``;``), object lists (``,``)
 and the ``a`` shorthand. Files ending in ``.gz`` are read and written through
 gzip transparently.
 
+N-Triples lines of the common shape take a fast path: one regular
+expression match per line. It accepts an IRI subject, an IRI predicate and
+an IRI or literal object, with optional spaces or tabs around the terms,
+the final ``.`` and an optional trailing ``# comment``. IRIs must be
+non-empty and free of escapes; literals must be free of escapes and
+carriage returns, with an optional ``@tag`` of ASCII letters, digits and
+``-`` or a ``^^<datatype>``. Every other line (escapes, blank nodes,
+other language tags, blank and comment lines, malformed statements) goes to
+the general character-by-character parser, so the triples, errors and line
+numbers are those of the general parser alone. ``ParseReport.general_lines``
+counts the lines that took the general parser.
+
 Term token conventions used throughout the package:
 
 * IRIs are stored as bare IRI strings, without angle brackets.
@@ -20,6 +32,7 @@ from __future__ import annotations
 import gzip
 import io
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -55,6 +68,7 @@ class ParseReport:
     triples_emitted: int = 0
     lines_skipped: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
+    general_lines: int = 0  # N-Triples lines the fast path left to the general parser
 
 
 def is_literal_token(token: str) -> bool:
@@ -272,6 +286,20 @@ def _parse_nt_statement(sc: _Scan, scope: str) -> Triple:
     return Triple(subject, predicate, obj)
 
 
+# Fast path for the common line shape: IRI subject, IRI predicate, and an IRI
+# or plain literal object. IRI bodies take no escapes and are never empty;
+# literal bodies take no escapes, CR or LF, so the source slice of a literal
+# (quotes and suffix included) is already its canonical token. Any line this
+# does not match goes to ``_parse_nt_statement``, which decides it.
+_IRI_BODY = r'[^\x00-\x20<>"{}|^`\\]+'
+_FAST_LINE = re.compile(
+    rf'[ \t]*<({_IRI_BODY})>[ \t]*<({_IRI_BODY})>[ \t]*'
+    rf'(?:<({_IRI_BODY})>|("[^"\\\r\n]*"(?:@[A-Za-z0-9-]+|\^\^<{_IRI_BODY}>)?))'
+    r'[ \t]*\.[ \t]*(?:#.*)?',
+    re.DOTALL,
+)
+
+
 def _as_byte_stream(source: bytes | str | IO[bytes]) -> IO[bytes]:
     if isinstance(source, bytes):
         return io.BytesIO(source)
@@ -320,6 +348,7 @@ def parse_ntriples(
 
 
 def _ntriples_iter(stream, lenient, report, scope) -> Iterator[Triple]:
+    fast_match = _FAST_LINE.fullmatch
     for lineno, raw in enumerate(_byte_lines(stream), start=1):
         try:
             text = raw.decode("utf-8")
@@ -328,10 +357,17 @@ def _ntriples_iter(stream, lenient, report, scope) -> Iterator[Triple]:
                 raise ParseError(f"invalid UTF-8: {exc}", lineno) from None
             report.errors.append((lineno, f"invalid UTF-8: {exc}"))
             continue
+        m = fast_match(text)
+        if m is not None:
+            s, p, o, lit = m.groups()
+            report.triples_emitted += 1
+            yield Triple(s, p, o or lit)
+            continue
         stripped = text.strip(_WS)
         if not stripped or stripped.startswith("#"):
             report.lines_skipped += 1
             continue
+        report.general_lines += 1
         sc = _Scan(text)
         try:
             triple = _parse_nt_statement(sc, scope)
@@ -620,31 +656,39 @@ def open_text_write(path: str | Path) -> IO[str]:
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def load_graph(sources: Iterable[tuple[str | Path, str]], *, lenient: bool = True):
+def load_graph(
+    sources: Iterable[tuple[str | Path, str]],
+    *,
+    lenient: bool = True,
+    report: ParseReport | None = None,
+):
     """Parse every (path, format) source and return the union as a frozen
     :class:`~kgembed.graph.KnowledgeGraph`; duplicate triples are stored once.
 
     Formats: ``ntriples`` and ``turtle-subset`` (aliases ``nt``, ``ttl``,
     ``turtle``). Blank nodes receive a per-file scope. Lenient N-Triples
-    errors are logged as warnings; strict mode propagates them.
+    errors are logged as warnings; strict mode propagates them. Pass a
+    :class:`ParseReport` to observe the parse: it adds up over all sources,
+    so its error line numbers are per file.
     """
     from .graph import KnowledgeGraph
 
+    if report is None:
+        report = ParseReport()
     g = KnowledgeGraph()
     for i, (path, fmt) in enumerate(sources):
         canonical = _FORMAT_ALIASES.get(fmt)
         if canonical is None:
             raise ValueError(f"unknown RDF format {fmt!r}; expected one of {sorted(set(_FORMAT_ALIASES.values()))}")
-        report = ParseReport()
         scope = f"f{i}"
+        first_error = len(report.errors)
         with open_bytes_read(path) as fh:
             if canonical == "ntriples":
                 triples = parse_ntriples(fh, lenient=lenient, report=report, bnode_scope=scope)
             else:
                 triples = parse_turtle_subset(fh, report=report, bnode_scope=scope)
-            for triple in triples:
-                g.add(triple)
-        for lineno, message in report.errors:
+            g.add_all(triples)
+        for lineno, message in report.errors[first_error:]:
             logger.warning("%s:%d: %s", path, lineno, message)
     return g.freeze()
 

@@ -543,19 +543,25 @@ def load_model(path: str | Path) -> EmbeddingModel:
     tokens: list[str] = []
     index: dict[str, int] = {}
     vectors = np.empty((size, dim), dtype=np.float32)
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise ModelFormatError(f"expected a token and {dim} floats, found {len(parts)} fields", line=lineno)
-        token = unescape_token(parts[0])
-        if token in index:
-            raise ModelFormatError(f"duplicate token {token!r}", line=lineno)
-        try:
-            vectors[lineno - 2] = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise ModelFormatError("unparseable float", line=lineno) from None
-        index[token] = lineno - 2
-        tokens.append(token)
+    # a double beyond float32 range is stored as inf and rejected below
+    with np.errstate(over="ignore"):
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split(" ")
+            if len(parts) != dim + 1:
+                raise ModelFormatError(f"expected a token and {dim} floats, found {len(parts)} fields", line=lineno)
+            token = unescape_token(parts[0])
+            if token in index:
+                raise ModelFormatError(f"duplicate token {token!r}", line=lineno)
+            try:
+                vectors[lineno - 2] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise ModelFormatError("unparseable float", line=lineno) from None
+            index[token] = lineno - 2
+            tokens.append(token)
+    # nan and inf parse as floats, but the service could not answer them in JSON
+    non_finite = ~np.isfinite(vectors).all(axis=1)
+    if non_finite.any():
+        raise ModelFormatError("non-finite value", line=int(np.argmax(non_finite)) + 2)
     counts = np.ones(size, dtype=np.int64)
     probs = np.full(size, 1.0 / size, dtype=np.float64) if size else np.zeros(0, dtype=np.float64)
     vocab = Vocabulary(tokens, index, counts, probs)

@@ -1,8 +1,10 @@
+import socket
+
 import pytest
 
 from fixtures import two_cluster_fixture
 from kgembed.cli import build_parser, main, manifest_path, read_manifest
-from kgembed.graph_io import write_ntriples
+from kgembed.graph_io import load_graph, write_ntriples
 from kgembed.trainer import load_model
 
 
@@ -90,6 +92,12 @@ class TestWalkCommand:
 
     def test_walk_writes_corpus_and_manifest(self, workspace):
         tmp_path, graph_file, entities_file, _, entities = workspace
+        triples = graph_file.read_text().splitlines()
+        graph_file.write_text(
+            "# header\n\n" + "\n".join(triples) + "\n"
+            "_:b <http://ex/p> <http://ex/a> .\n"  # parsed by the general parser
+            "<http://ex/a> <http://ex/p>\n"  # truncated
+        )
         rc, out = run_walk(tmp_path, graph_file, entities_file)
         assert rc == 0
         lines = out.read_text().splitlines()
@@ -101,6 +109,14 @@ class TestWalkCommand:
         assert manifest["graph.0.sha256"]
         assert manifest["entities.path"] == str(entities_file)
         assert "timing.walk_seconds" in manifest
+        assert manifest["parse.triples"] == str(len(triples) + 1)
+        assert manifest["parse.lines_skipped"] == "2"
+        assert manifest["parse.errors"] == "1"
+        assert manifest["parse.general_lines"] == "2"
+        graph = load_graph([(graph_file, "nt")])
+        assert manifest["graph.tokens"] == str(graph.num_tokens)
+        assert manifest["graph.nodes"] == str(graph.num_nodes)
+        assert manifest["graph.edges"] == str(graph.num_edges) == str(len(triples) + 1)
 
     def test_walk_determinism_byte_identical(self, workspace):
         import gzip
@@ -303,9 +319,23 @@ class TestServeCommand:
         rc = main(["serve", "--model", str(bad)])
         assert rc == 4
 
-    def test_port_in_use_exit_3(self, tmp_path):
-        import socket
+    @pytest.mark.parametrize("command", ["serve", "eval"])
+    def test_non_finite_model_exit_4(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("2 2\nhttp://ex/a 1 2\nhttp://ex/b nan inf\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("http://ex/a\tx\nhttp://ex/b\ty\n")
+        with socket.socket() as blocker:
+            # a model that loads would make serve exit 3 on this port, not block
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = str(blocker.getsockname()[1])
+            extra = ["--port", port] if command == "serve" else ["--task", "classify", "--gold", str(gold)]
+            rc = main([command, "--model", str(bad), *extra])
+        assert rc == 4
+        assert "line 3: non-finite value" in capsys.readouterr().err
 
+    def test_port_in_use_exit_3(self, tmp_path):
         model_file = tmp_path / "m.txt"
         model_file.write_text("1 2\nhttp://ex/a 1 2\n")
         with socket.socket() as blocker:

@@ -1,7 +1,12 @@
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import build_graph, random_graph
 from kgembed.graph import GraphFrozenError, KnowledgeGraph, SnapshotFormatError, UnknownNodeError
+from kgembed.graph_io import Triple
 
 
 A, B, C = "http://ex/a", "http://ex/b", "http://ex/c"
@@ -108,6 +113,50 @@ class TestLiterals:
             g.add_triple(A, self.LIT, B)
 
 
+def _state(g: KnowledgeGraph):
+    return (g._tokens, g._index, g._literal, g._node, g._node_count, g._out, g._in, g._triples, g._seen)
+
+
+# mostly IRIs, so that most lists get past the first literal subject or predicate
+_TOKENS = st.sampled_from([A, B, C, P, Q, A, B, C, P, Q, "_:x", TestLiterals.LIT, '"x"@en'])
+
+
+class TestAddAll:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_TOKENS, _TOKENS, _TOKENS), max_size=25),
+        st.lists(_TOKENS, max_size=3),
+        st.integers(0, 25),
+    )
+    def test_matches_add_one_at_a_time(self, triples, preloaded, cut):
+        """``add_all`` against the ``add`` loop it replaced, over two calls:
+        same ids, adjacency, node flags, stored triples, counts and
+        ValueError."""
+        graphs, results = [], []
+        for bulk in (False, True):
+            g = KnowledgeGraph()
+            for token in preloaded:
+                g.intern(token)
+            result = []
+            try:
+                for part in (triples[:cut], triples[cut:]):
+                    if bulk:
+                        result.append(g.add_all(Triple(*t) for t in part))
+                    else:
+                        result.append(sum(1 for t in part if g.add(Triple(*t))))
+            except ValueError as exc:
+                result.append(str(exc))
+            graphs.append(_state(g))
+            results.append(result)
+        assert results[0] == results[1]
+        assert graphs[0] == graphs[1]
+
+    def test_frozen(self):
+        g = build_graph([(A, P, B)])
+        with pytest.raises(GraphFrozenError):
+            g.add_all([Triple(A, P, B)])
+
+
 class TestLifecycle:
     def test_freeze_blocks_mutation(self):
         g = build_graph([(A, P, B)])
@@ -177,4 +226,45 @@ class TestSnapshot:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(SnapshotFormatError):
+            KnowledgeGraph.load_snapshot(path)
+
+    def _edge_patched(self, tmp_path, triples, edge_bytes):
+        """A valid snapshot of ``triples`` whose edge list is replaced."""
+        path = tmp_path / "graph.kgl"
+        build_graph(triples).save_snapshot(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - len(edge_bytes)] + edge_bytes)
+        return path
+
+    def test_out_of_range_token_id(self, tmp_path):
+        path = self._edge_patched(tmp_path, [(A, P, B)], struct.pack("<III", 0, 1, 3))
+        with pytest.raises(SnapshotFormatError, match="token id 3 out of 3"):
+            KnowledgeGraph.load_snapshot(path)
+
+    def test_duplicate_edge(self, tmp_path):
+        path = self._edge_patched(tmp_path, [(A, P, B), (A, P, C)], struct.pack("<6I", 0, 1, 2, 0, 1, 2))
+        with pytest.raises(SnapshotFormatError, match="duplicate edge"):
+            KnowledgeGraph.load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (8, 0xFFFFFFFF, "truncated snapshot while reading edges"),  # |E| beyond the file
+            (4, 3, "header claims"),  # |V| one too many
+        ],
+    )
+    def test_header_count_mismatch(self, tmp_path, offset, value, message):
+        path = tmp_path / "graph.kgl"
+        build_graph([(A, P, B)]).save_snapshot(path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match=message):
+            KnowledgeGraph.load_snapshot(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "graph.kgl"
+        build_graph([(A, P, B)]).save_snapshot(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(SnapshotFormatError, match="trailing bytes"):
             KnowledgeGraph.load_snapshot(path)

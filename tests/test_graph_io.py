@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgembed.graph import KnowledgeGraph
 from kgembed.graph_io import (
+    _FAST_LINE,
     ParseError,
     ParseReport,
     Triple,
     UnsupportedConstructError,
+    _Bad,
+    _parse_nt_statement,
+    _Scan,
     detect_format,
     load_graph,
     parse_ntriples,
@@ -125,6 +130,196 @@ class TestNTriples:
         else:
             expected = data.count(b"\n") + (0 if data.endswith(b"\n") else 1)
         assert report.triples_emitted + report.lines_skipped + len(report.errors) == expected
+
+
+def general_only(data: bytes, *, lenient: bool = True, scope: str = "f0"):
+    """Reference loader: every line goes to ``_parse_nt_statement``, and the
+    graph is built one ``add`` at a time. Returns (graph, report)."""
+    report = ParseReport()
+    graph = KnowledgeGraph()
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if not lenient:
+                raise ParseError(f"invalid UTF-8: {exc}", lineno) from None
+            report.errors.append((lineno, f"invalid UTF-8: {exc}"))
+            continue
+        if not text.strip(" \t") or text.strip(" \t").startswith("#"):
+            report.lines_skipped += 1
+            continue
+        try:
+            triple = _parse_nt_statement(_Scan(text), scope)
+        except _Bad as exc:
+            if not lenient:
+                raise ParseError(f"{exc}: {text.rstrip()!r}", lineno) from None
+            report.errors.append((lineno, str(exc)))
+            continue
+        report.triples_emitted += 1
+        graph.add(triple)
+    return graph.freeze(), report
+
+
+def graph_state(g: KnowledgeGraph):
+    return (
+        [g.resolve(i) for i in range(g.num_tokens)],
+        [(g.out_edges(i), g.in_edges(i), g.is_node(i), g.is_literal_id(i)) for i in range(g.num_tokens)],
+        list(g.triples()),
+        g.num_nodes,
+    )
+
+
+PLAIN = [
+    "<http://ex/a> <http://ex/p> <http://ex/b> .",
+    '<http://ex/a> <http://ex/p> "plain" .',
+    '<http://ex/a> <http://ex/q> "New York"@en-US .',
+    f'<http://ex/b> <http://ex/q> "42"^^<{XSD_INT}> .',
+    "<http://ex/a><http://ex/p><http://ex/c>.",
+    "\t<http://ex/c> <http://ex/p> <http://ex/a> . # trailing comment",
+    '<http://ex/c> <http://ex/q> "tab\there, \'quotes\' and é" .',
+    "<http://ex/a> <http://ex/p> <http://ex/b> .",  # duplicate
+]
+GENERAL = [
+    '<http://ex/a> <http://ex/q> "say \\"hi\\"" .',
+    '<http://ex/a> <http://ex/q> "caf\\u00e9" .',
+    "<http://ex/\\u00e9> <http://ex/p> <http://ex/a> .",
+    "_:n1 <http://ex/p> <http://ex/a> .",
+    "<http://ex/a> <http://ex/p> _:n1 .",
+    '<http://ex/a> <http://ex/q> "x"@é .',
+    '<http://ex/a> <http://ex/q> "carriage\rreturn" .',
+    "<> <http://ex/p> <http://ex/a> .",
+    "<http://ex/a> <http://ex/p>",
+    "<http://ex/a> <http://ex/p> <http://ex/b",
+    '<http://ex/a> <http://ex/q> "open .',
+    "<http://ex/a> <http://ex/p> <http://ex/b> . junk",
+    '"lit" <http://ex/p> <http://ex/a> .',
+]
+
+
+class TestFastPath:
+    def mixed(self) -> bytes:
+        lines = ["# header", ""]
+        for plain, general in zip(PLAIN, GENERAL):
+            lines += [plain, general]
+        lines += GENERAL[len(PLAIN) :] + ["   ", "<http://ex/d> <http://ex/p> <http://ex/a> .\r"]
+        return "\n".join(lines).encode("utf-8") + b"\n\xff\xfe\n<http://ex/d> <http://ex/q> <http://ex/e> ."
+
+    def test_mixed_file_matches_general_parser(self, tmp_path):
+        data = self.mixed()
+        path = tmp_path / "mixed.nt"
+        path.write_bytes(data)
+        report = ParseReport()
+        graph = load_graph([(path, "nt")], report=report)
+        want_graph, want = general_only(data)
+        assert graph_state(graph) == graph_state(want_graph)
+        assert (report.triples_emitted, report.lines_skipped, report.errors) == (
+            want.triples_emitted,
+            want.lines_skipped,
+            want.errors,
+        )
+        assert len(want.errors) == 7 and want.lines_skipped == 3
+        # the general parser saw exactly the lines outside the fast path's shape
+        assert report.general_lines == len(GENERAL)
+
+    def test_mixed_file_strict(self, tmp_path):
+        data = self.mixed()
+        path = tmp_path / "mixed.nt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as want:
+            general_only(data, lenient=False)
+        with pytest.raises(ParseError) as got:
+            load_graph([(path, "nt")], lenient=False)
+        assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+        # without the bad lines, strict and lenient agree
+        _, lenient = general_only(data)
+        bad = {lineno for lineno, _ in lenient.errors}
+        clean = b"\n".join(line for i, line in enumerate(data.split(b"\n"), 1) if i not in bad)
+        path.write_bytes(clean)
+        assert graph_state(load_graph([(path, "nt")], lenient=False)) == graph_state(general_only(clean)[0])
+
+    def test_report_adds_up_over_sources(self, tmp_path):
+        one, two = tmp_path / "one.nt", tmp_path / "two.nt"
+        one.write_bytes(self.mixed())
+        two.write_text("# c\n<http://ex/a> <http://ex/p> <http://ex/z> .\nbroken\n")
+        report = ParseReport()
+        load_graph([(one, "nt"), (two, "nt")], report=report)
+        _, first = general_only(one.read_bytes())
+        assert report.triples_emitted == first.triples_emitted + 1
+        assert report.lines_skipped == first.lines_skipped + 1
+        assert report.errors == first.errors + [(3, "expected IRI or blank node subject")]
+        assert report.general_lines == len(GENERAL) + 1
+
+
+# Fragments for random N-Triples-like lines: well-formed terms and every
+# shape the fast path must leave to the general parser. Well-formed parts are
+# repeated so that about a third of the lines take the fast path.
+_IRI_PARTS = st.sampled_from(
+    ["http://ex/", "a", "é", "#", "%20"] * 4
+    + ["\\u00e9", "\\U0001F600", "\\n", "\\", " ", "\t", '"', "{", "|", "^", "`", "<", "\x00"]
+)
+_LIT_PARTS = st.sampled_from(
+    ["x", " ", "é", "'", "\t", "#", ".", "<a>"] * 2
+    + ["\r", "\\", '\\"', "\\\\", "\\n", "\\r", "\\t", "\\b", "\\'", "\\u00e9", "\\x", '"']
+)
+_SUFFIXES = st.sampled_from(
+    ["", "@en", "@en-US", f"^^<{XSD_INT}>"] * 3 + ["@é", "@", "@-", "^^<>", "^^", "^^x", "^^<a b>", "x"]
+)
+_WS = st.sampled_from(["", " ", " ", " ", "\t", "  ", " \t"])
+_ENDS = st.sampled_from(["."] * 12 + [" . # note", ".#", ". x", "..", " .\t", ". \r", ""])
+# term kinds per position; odd kinds (a literal subject, a blank predicate,
+# junk) are rarer so that whole lines are often well-formed
+_KINDS = (
+    ["iri"] * 6 + ["random-iri"] * 3 + ["literal", "blank", "junk"],
+    ["iri"] * 8 + ["random-iri"] * 3 + ["literal", "blank", "junk"],
+    ["iri"] * 3 + ["random-iri"] * 2 + ["literal"] * 5 + ["blank", "junk"],
+)
+
+
+@st.composite
+def _term(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "iri":
+        return "<http://ex/" + draw(st.sampled_from(["a", "b", "p"])) + ">"
+    if kind == "random-iri":
+        return "<" + "".join(draw(st.lists(_IRI_PARTS, max_size=4))) + ">"
+    if kind == "literal":
+        return '"' + "".join(draw(st.lists(_LIT_PARTS, max_size=4))) + '"' + draw(_SUFFIXES)
+    if kind == "blank":
+        return draw(st.sampled_from(["_:b1", "_:", "_:a.", "_:x-y"]))
+    return draw(st.sampled_from(["", "<", '"', "a", "<http://ex/a"]))
+
+
+@st.composite
+def _line(draw):
+    parts = [draw(_WS)]
+    for kinds in _KINDS:
+        parts += [draw(_term(kinds)), draw(_WS)]
+    return "".join(parts) + draw(_ENDS)
+
+
+def _general(text: str):
+    try:
+        return _parse_nt_statement(_Scan(text), "f0")
+    except _Bad:
+        return None
+
+
+class TestFastPathProperty:
+    @settings(max_examples=1500, deadline=None)
+    @given(_line())
+    def test_fast_regex_agrees_with_general_parser(self, line):
+        """The fast path accepts only lines the general parser accepts, and
+        emits the general parser's triple for each."""
+        want = _general(line)
+        if _FAST_LINE.fullmatch(line) is not None:
+            assert want is not None
+        got = list(parse_ntriples(line.encode("utf-8"), bnode_scope="f0"))
+        # parse_ntriples sees the line without a trailing CR
+        want = _general(line.rstrip("\r"))
+        assert got == ([want] if want is not None else [])
 
 
 def ttl(text: str, **kwargs):

@@ -477,6 +477,14 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e39"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "model.txt"
+        path.write_text(f"2 2\na 1 2\nb 3 {value}\n")
+        with pytest.raises(ModelFormatError, match="non-finite value") as err:
+            load_model(path)
+        assert err.value.line == 3
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("banana\n")
