@@ -79,7 +79,7 @@ def is_blank_token(token: str) -> bool:
     return token.startswith("_:")
 
 
-# Corpus and model files hold one token per whitespace-separated field, but
+# Corpus and model files hold one token per space-separated field, but
 # literal tokens may contain spaces; this tiny reversible escaping keeps the
 # file format splittable. '%' must be encoded first and decoded last.
 _TOKEN_ESCAPES = (("%", "%25"), (" ", "%20"), ("\t", "%09"), ("\n", "%0A"), ("\r", "%0D"))

@@ -1,12 +1,19 @@
 """Word2vec-style embedding training over walk corpora.
 
-Skip-gram and CBOW with negative sampling. Updates are applied in vectorized
-batches: gradients for a batch are computed against the tables as they stood
-when the batch started, and each table receives them through one
-reduce-by-key pass (a stable sort of the target rows, then one segment sum
-per distinct row). The summation order depends only on the batch, so
-single-worker runs are bit-reproducible. :func:`sgns_gradient` is the exact
-one-pair reference step that the unit and finite-difference tests exercise.
+Skip-gram and CBOW with negative sampling, trained by one chunk kernel. Each
+example predicts a context (output) row from the masked mean of its input
+rows: a CBOW example averages up to ``2 * window`` context slots around its
+center, and a skip-gram pair is an example with one slot, the center itself,
+whose mean is that row unchanged. The mode only decides how the examples are
+built.
+
+Updates are applied in vectorized batches: gradients for a batch are computed
+against the tables as they stood when the batch started, and each table
+receives them through one reduce-by-key pass (a stable sort of the target
+rows, then one segment sum per distinct row). The summation order depends
+only on the batch, so single-worker runs are bit-reproducible.
+:func:`sgns_gradient` is the exact one-pair reference step that the unit and
+finite-difference tests exercise.
 
 The published vectors are the input table; context (output) vectors are kept
 on the model for inspection but never used for similarity queries.
@@ -270,64 +277,36 @@ def sgns_gradient(center, context, negatives, lr):
     return v - lr * d_center, u - lr * d_context, negs - lr * d_negs
 
 
-def _process_sg_chunk(w_in, w_out, centers, contexts, negatives, lr):
+def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
+    """One negative-sampling step for a chunk of examples. Example b predicts
+    the ``w_out`` row ``targets[b]`` from the masked mean ``h[b]`` of its
+    ``w_in`` rows ``inputs[b]``; a skip-gram pair is an example with one slot.
+    Returns the summed loss, the example count, and the rows updated and
+    clipped in the two tables."""
     # overflow in a diverging run is caught by the loss guard, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sg_chunk_inner(w_in, w_out, centers, contexts, negatives, lr)
-
-
-def _add_output_rows(w_out, positives, negatives, src, gp, gn, lr) -> tuple[int, int]:
-    # example b moves its positive row by lr*gp[b]*src[b] and its k-th
-    # negative row by lr*gn[b, k]*src[b]
-    b, k = negatives.shape
-    rows = np.concatenate([positives, negatives.ravel()])
-    owner = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
-    weights = lr * np.concatenate([gp, gn.ravel()])
-    return _add_rows_clipped(w_out, rows, src, owner, weights)
-
-
-def _sg_chunk_inner(w_in, w_out, centers, contexts, negatives, lr):
-    vc = w_in[centers]
-    uo = w_out[contexts]
-    pos = np.einsum("bd,bd->b", vc, uo)
-    gp = 1.0 - _sigmoid(pos)
-    loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
-    un = w_out[negatives]
-    ns = np.einsum("bd,bkd->bk", vc, un)
-    live = negatives != contexts[:, None]  # a draw equal to the positive is skipped
-    gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
-    loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
-    dvc = gp[:, None] * uo + np.einsum("bk,bkd->bd", gn, un)
-    b = centers.shape[0]
-    in_rows, in_clipped = _add_rows_clipped(w_in, centers, dvc, np.arange(b), np.full(b, lr))
-    out_rows, out_clipped = _add_output_rows(w_out, contexts, negatives, vc, gp, gn, lr)
-    return loss, b, in_rows + out_rows, in_clipped + out_clipped
-
-
-def _process_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cbow_chunk_inner(w_in, w_out, centers, ctx, mask, negatives, lr)
-
-
-def _cbow_chunk_inner(w_in, w_out, centers, ctx, mask, negatives, lr):
-    vctx = w_in[ctx]  # (B, 2w, d)
-    counts = mask.sum(axis=1)  # >= 1 by construction
-    h = np.einsum("bwd,bw->bd", vctx, mask) / counts[:, None]
-    uc = w_out[centers]
-    pos = np.einsum("bd,bd->b", h, uc)
-    gp = 1.0 - _sigmoid(pos)
-    loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
-    un = w_out[negatives]
-    ns = np.einsum("bd,bkd->bk", h, un)
-    live = negatives != centers[:, None]
-    gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
-    loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
-    dh = gp[:, None] * uc + np.einsum("bk,bkd->bd", gn, un)
-    out_rows, out_clipped = _add_output_rows(w_out, centers, negatives, h, gp, gn, lr)
-    # the mean distributes the head gradient equally over live context slots
-    slot_owner, slot = np.nonzero(mask)
-    in_rows, in_clipped = _add_rows_clipped(w_in, ctx[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner])
-    return loss, centers.shape[0], in_rows + out_rows, in_clipped + out_clipped
+        counts = mask.sum(axis=1)  # >= 1 by construction
+        h = np.einsum("bwd,bw->bd", w_in[inputs], mask) / counts[:, None]
+        ut = w_out[targets]
+        pos = np.einsum("bd,bd->b", h, ut)
+        gp = 1.0 - _sigmoid(pos)
+        loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
+        un = w_out[negatives]
+        ns = np.einsum("bd,bkd->bk", h, un)
+        live = negatives != targets[:, None]  # a draw equal to the positive is skipped
+        gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
+        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
+        dh = gp[:, None] * ut + np.einsum("bk,bkd->bd", gn, un)
+        # example b moves its target row by lr*gp[b]*h[b] and its k-th negative
+        # row by lr*gn[b, k]*h[b]
+        b, k = negatives.shape
+        rows = np.concatenate([targets, negatives.ravel()])
+        owner = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
+        out_rows, out_clipped = _add_rows_clipped(w_out, rows, h, owner, lr * np.concatenate([gp, gn.ravel()]))
+        # the mean distributes the head gradient equally over live input slots
+        slot_owner, slot = np.nonzero(mask)
+        in_rows, in_clipped = _add_rows_clipped(w_in, inputs[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner])
+        return loss, b, in_rows + out_rows, in_clipped + out_clipped
 
 
 # --------------------------------------------------------------------------
@@ -345,8 +324,10 @@ def _encode_sentences(sentences, vocab: Vocabulary) -> list[np.ndarray]:
     return encoded
 
 
-def _sg_pairs(encoded, window: int) -> tuple[np.ndarray, np.ndarray]:
-    centers, contexts = [], []
+def _sg_pairs(encoded, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # each center is a one-slot input that is always live; the zero-stride
+    # mask takes no memory per pair
+    centers, contexts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for a in encoded:
         n = a.shape[0]
         for off in range(1, min(window, n - 1) + 1):
@@ -355,15 +336,17 @@ def _sg_pairs(encoded, window: int) -> tuple[np.ndarray, np.ndarray]:
             contexts.append(right)
             centers.append(right)
             contexts.append(left)
-    if not centers:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(centers), np.concatenate(contexts)
+    inputs = np.concatenate(centers)[:, None]
+    return inputs, np.broadcast_to(np.float32(1), inputs.shape), np.concatenate(contexts)
 
 
 def _cbow_groups(encoded, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # columns past the longest walk would only hold masked-out slots
+    window = min(window, max((a.shape[0] for a in encoded), default=1) - 1)
     width = 2 * window
-    mats, masks, centers = [], [], []
+    mats = [np.zeros((0, width), dtype=np.int64)]
+    masks = [np.zeros((0, width), dtype=np.float32)]
+    centers = [np.zeros(0, dtype=np.int64)]
     for a in encoded:
         n = a.shape[0]
         if n < 2:
@@ -381,12 +364,6 @@ def _cbow_groups(encoded, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         mats.append(m)
         masks.append(k)
         centers.append(a)
-    if not centers:
-        return (
-            np.zeros((0, width), dtype=np.int64),
-            np.zeros((0, width), dtype=np.float32),
-            np.zeros(0, dtype=np.int64),
-        )
     return np.concatenate(mats), np.concatenate(masks), np.concatenate(centers)
 
 
@@ -431,12 +408,9 @@ def train(
 
     encoded = _encode_sentences(sentences, vocab)
     total_tokens = sum(a.shape[0] for a in encoded)
-    if cfg.mode == "sg":
-        centers, contexts = _sg_pairs(encoded, cfg.window)
-        n_updates = centers.shape[0]
-    else:
-        ctx_mat, ctx_mask, centers = _cbow_groups(encoded, cfg.window)
-        n_updates = centers.shape[0]
+    examples = _sg_pairs if cfg.mode == "sg" else _cbow_groups
+    inputs, mask, targets = examples(encoded, cfg.window)
+    n_updates = targets.shape[0]
     if n_updates == 0:
         # every sentence is a single token; the seeded initialization is the model
         logger.info("corpus has no context pairs; returning initialized vectors")
@@ -463,11 +437,7 @@ def train(
                 negatives = np.zeros((hi - lo, 0), dtype=np.int64)
             progress = (epoch * n_updates + lo) / total_scheduled
             lr = np.float32(lr0 * (1.0 - (1.0 - _LR_FLOOR_RATIO) * progress))
-            if cfg.mode == "sg":
-                return _process_sg_chunk(w_in, w_out, centers[lo:hi], contexts[lo:hi], negatives, lr)
-            return _process_cbow_chunk(
-                w_in, w_out, centers[lo:hi], ctx_mat[lo:hi], ctx_mask[lo:hi], negatives, lr
-            )
+            return _process_chunk(w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr)
 
         if workers <= 1:
             results = [run_chunk(item) for item in enumerate(spans)]
@@ -533,22 +503,29 @@ def load_model(path: str | Path) -> EmbeddingModel:
         size, dim = int(head[0]), int(head[1])
     except ValueError:
         raise ModelFormatError(f"non-integer header {lines[0]!r}", line=1) from None
-    if size < 0 or dim < 1:
+    if size < 0 or not 1 <= dim <= np.iinfo(np.intp).max:
         raise ModelFormatError(f"implausible header {lines[0]!r}", line=1)
     if len(lines) - 1 != size:
         raise ModelFormatError(
             f"header claims {size} vectors but the file has {len(lines) - 1} body lines",
             line=len(lines),
         )
+
+    def fields(lineno: int) -> list[str]:
+        parts = lines[lineno - 1].split(" ")
+        if len(parts) != dim + 1:
+            raise ModelFormatError(f"expected a token and {dim} floats, found {len(parts)} fields", line=lineno)
+        return parts
+
+    if size:
+        fields(2)  # before the header's dimension sizes the array
     tokens: list[str] = []
     index: dict[str, int] = {}
     vectors = np.empty((size, dim), dtype=np.float32)
     # a double beyond float32 range is stored as inf and rejected below
     with np.errstate(over="ignore"):
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
-                raise ModelFormatError(f"expected a token and {dim} floats, found {len(parts)} fields", line=lineno)
+        for lineno in range(2, size + 2):
+            parts = fields(lineno)
             token = unescape_token(parts[0])
             if token in index:
                 raise ModelFormatError(f"duplicate token {token!r}", line=lineno)

@@ -152,37 +152,33 @@ def _light_walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkCon
     succ = _forward_edges(g, entity, cfg.include_literals, state)
     hops = 0
     while hops < cfg.depth:
-        head = tokens[0]
-        tail = tokens[-1]
-        back_cand = [(s, p, head) for s, p in pred]
-        fwd_cand = [(tail, p, o) for p, o in succ]
         if cfg.coin_flip_direction:
-            if not back_cand and not fwd_cand:
-                break
-            if back_cand and fwd_cand:
-                pool = back_cand if rng.random() < 0.5 else fwd_cand
+            if pred and succ:
+                backward = rng.random() < 0.5
+            elif pred or succ:
+                backward = bool(pred)
             else:
-                pool = back_cand or fwd_cand
-            choice = pool[rng.randrange(len(pool))]
-            backward = pool is back_cand
-        else:
-            # union of edge sets: an edge that is both ingoing-to-head and
-            # outgoing-from-tail is drawn once and treated as backward
-            back_set = set(back_cand)
-            cand = list(back_cand)
-            for t in fwd_cand:
-                if t not in back_set:
-                    cand.append(t)
-            if not cand:
                 break
-            choice = cand[rng.randrange(len(cand))]
-            backward = choice in back_set
-        s, p, o = choice
+            pool = pred if backward else succ
+            edge = pool[rng.randrange(len(pool))]
+        else:
+            # union of edge sets: an out-edge of the tail into the head is
+            # also an in-edge of the head, so it is drawn once, as backward
+            head = tokens[0]
+            fwd = [e for e in succ if e[1] != head]
+            n = len(pred) + len(fwd)
+            if n == 0:
+                break
+            i = rng.randrange(n)
+            backward = i < len(pred)
+            edge = pred[i] if backward else fwd[i - len(pred)]
         if backward:
+            s, p = edge
             tokens[:0] = [s, p]
             anchor += 2
             pred = _backward_edges(g, s, state)
         else:
+            p, o = edge
             tokens.extend([p, o])
             # a literal tail has no outgoing edges; skip the lookup
             succ = [] if g.is_literal_id(o) else _forward_edges(g, o, cfg.include_literals, state)
@@ -286,7 +282,9 @@ def read_corpus_tokens(path: str | Path) -> list[list[str]]:
     sentences: list[list[str]] = []
     with open_text_read(path) as fh:
         for line in fh:
-            tokens = line.split()  # escaping guarantees no whitespace inside tokens
+            # split on the spaces write_corpus puts between tokens only: escaping
+            # removes those from tokens, but a token may hold other whitespace
+            tokens = [t for t in line.rstrip("\n").split(" ") if t]
             if tokens:
                 sentences.append([unescape_token(t) for t in tokens])
     return sentences

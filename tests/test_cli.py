@@ -319,10 +319,10 @@ class TestServeCommand:
         rc = main(["serve", "--model", str(bad)])
         assert rc == 4
 
-    @pytest.mark.parametrize("command", ["serve", "eval"])
-    def test_non_finite_model_exit_4(self, tmp_path, capsys, command):
-        bad = tmp_path / "nan.txt"
-        bad.write_text("2 2\nhttp://ex/a 1 2\nhttp://ex/b nan inf\n")
+    @staticmethod
+    def run_on_bad_model(tmp_path, command, model_text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(model_text)
         gold = tmp_path / "gold.tsv"
         gold.write_text("http://ex/a\tx\nhttp://ex/b\ty\n")
         with socket.socket() as blocker:
@@ -331,9 +331,19 @@ class TestServeCommand:
             blocker.listen(1)
             port = str(blocker.getsockname()[1])
             extra = ["--port", port] if command == "serve" else ["--task", "classify", "--gold", str(gold)]
-            rc = main([command, "--model", str(bad), *extra])
+            return main([command, "--model", str(bad), *extra])
+
+    @pytest.mark.parametrize("command", ["serve", "eval"])
+    def test_non_finite_model_exit_4(self, tmp_path, capsys, command):
+        rc = self.run_on_bad_model(tmp_path, command, "2 2\nhttp://ex/a 1 2\nhttp://ex/b nan inf\n")
         assert rc == 4
         assert "line 3: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "eval"])
+    def test_oversized_header_dimension_exit_4(self, tmp_path, capsys, command):
+        rc = self.run_on_bad_model(tmp_path, command, "1 1000000000000\nhttp://ex/a 1\n")
+        assert rc == 4
+        assert "line 2: expected a token and 1000000000000 floats" in capsys.readouterr().err
 
     def test_port_in_use_exit_3(self, tmp_path):
         model_file = tmp_path / "m.txt"

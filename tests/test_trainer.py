@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from fixtures import bidirectional_neighborhood, two_cluster_fixture
 from kgembed.trainer import (
+    MODES,
     _MAX_ROW_UPDATE,
     _add_rows_clipped,
-    _process_cbow_chunk,
-    _process_sg_chunk,
+    _cbow_groups,
+    _encode_sentences,
+    _process_chunk,
+    _sigmoid,
     EmptyCorpusError,
     EmptyVocabularyError,
     ModelFormatError,
@@ -326,6 +329,11 @@ def _reference_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr):
     return loss
 
 
+def _sg_examples(centers):
+    # a skip-gram pair is an example with one always-live input slot
+    return centers[:, None], np.broadcast_to(np.float32(1), (centers.shape[0], 1))
+
+
 def _tables(rng, vocab, dim):
     w_in = (rng.random((vocab, dim)) - 0.5).astype(np.float32)
     w_out = (rng.random((vocab, dim)) - 0.5).astype(np.float32)
@@ -392,7 +400,7 @@ class TestReduceByKeyKernel:
 
         ref_in, ref_out = w_in.copy(), w_out.copy()
         ref_loss = _reference_sg_chunk(ref_in, ref_out, centers, contexts, negatives, lr)
-        loss, examples, updated, clipped = _process_sg_chunk(w_in, w_out, centers, contexts, negatives, lr)
+        loss, examples, updated, clipped = _process_chunk(w_in, w_out, *_sg_examples(centers), contexts, negatives, lr)
 
         assert examples == batch
         assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
@@ -424,7 +432,7 @@ class TestReduceByKeyKernel:
 
         ref_in, ref_out = w_in.copy(), w_out.copy()
         ref_loss = _reference_cbow_chunk(ref_in, ref_out, centers, ctx, mask, negatives, lr)
-        loss, examples, updated, clipped = _process_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr)
+        loss, examples, updated, clipped = _process_chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
 
         assert examples == batch
         assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
@@ -433,6 +441,117 @@ class TestReduceByKeyKernel:
         live_slots = ctx[mask > 0]
         assert updated == np.unique(live_slots).size + np.unique(np.concatenate([centers, negatives.ravel()])).size
         assert 0 <= clipped <= updated
+
+
+# --------------------------------------------------------------------------
+# The one chunk kernel against the separate skip-gram and CBOW kernels it
+# replaced, kept here verbatim: results must match bit for bit
+# --------------------------------------------------------------------------
+
+
+def _two_kernel_output_rows(w_out, positives, negatives, src, gp, gn, lr):
+    b, k = negatives.shape
+    rows = np.concatenate([positives, negatives.ravel()])
+    owner = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
+    weights = lr * np.concatenate([gp, gn.ravel()])
+    return _add_rows_clipped(w_out, rows, src, owner, weights)
+
+
+def _two_kernel_sg_chunk(w_in, w_out, centers, contexts, negatives, lr):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vc = w_in[centers]
+        uo = w_out[contexts]
+        pos = np.einsum("bd,bd->b", vc, uo)
+        gp = 1.0 - _sigmoid(pos)
+        loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
+        un = w_out[negatives]
+        ns = np.einsum("bd,bkd->bk", vc, un)
+        live = negatives != contexts[:, None]
+        gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
+        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
+        dvc = gp[:, None] * uo + np.einsum("bk,bkd->bd", gn, un)
+        b = centers.shape[0]
+        in_rows, in_clipped = _add_rows_clipped(w_in, centers, dvc, np.arange(b), np.full(b, lr))
+        out_rows, out_clipped = _two_kernel_output_rows(w_out, contexts, negatives, vc, gp, gn, lr)
+        return loss, b, in_rows + out_rows, in_clipped + out_clipped
+
+
+def _two_kernel_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vctx = w_in[ctx]
+        counts = mask.sum(axis=1)
+        h = np.einsum("bwd,bw->bd", vctx, mask) / counts[:, None]
+        uc = w_out[centers]
+        pos = np.einsum("bd,bd->b", h, uc)
+        gp = 1.0 - _sigmoid(pos)
+        loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
+        un = w_out[negatives]
+        ns = np.einsum("bd,bkd->bk", h, un)
+        live = negatives != centers[:, None]
+        gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
+        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
+        dh = gp[:, None] * uc + np.einsum("bk,bkd->bd", gn, un)
+        out_rows, out_clipped = _two_kernel_output_rows(w_out, centers, negatives, h, gp, gn, lr)
+        slot_owner, slot = np.nonzero(mask)
+        in_rows, in_clipped = _add_rows_clipped(w_in, ctx[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner])
+        return loss, centers.shape[0], in_rows + out_rows, in_clipped + out_clipped
+
+
+class TestOneKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(MODES),
+        vocab=st.integers(1, 12),
+        dim=st.integers(1, 6),
+        batch=st.integers(1, 20),
+        window=st.integers(1, 3),
+        k=st.integers(0, 4),
+        live_share=st.sampled_from([0.2, 0.6, 1.0]),
+        lr=st.sampled_from([0.025, 0.5, 4.0]),
+    )
+    @example(seed=0, mode="sg", vocab=5, dim=3, batch=6, window=1, k=0, live_share=1.0, lr=0.5)  # negatives=0
+    @example(seed=0, mode="cbow", vocab=5, dim=3, batch=6, window=2, k=0, live_share=0.6, lr=0.5)
+    @example(seed=4, mode="sg", vocab=1, dim=2, batch=9, window=1, k=3, live_share=1.0, lr=4.0)  # every draw is the positive
+    @example(seed=5, mode="cbow", vocab=3, dim=4, batch=12, window=3, k=2, live_share=0.2, lr=4.0)  # mostly masked slots
+    def test_matches_the_two_kernels_exactly(self, seed, mode, vocab, dim, batch, window, k, live_share, lr):
+        rng = np.random.default_rng(seed)
+        w_in, w_out = _tables(rng, vocab, dim)
+        centers = rng.integers(0, vocab, size=batch)
+        lr = np.float32(lr)
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        if mode == "sg":
+            contexts = rng.integers(0, vocab, size=batch)
+            negatives = _draws(rng, contexts, vocab, k)
+            expected = _two_kernel_sg_chunk(ref_in, ref_out, centers, contexts, negatives, lr)
+            got = _process_chunk(w_in, w_out, *_sg_examples(centers), contexts, negatives, lr)
+        else:
+            ctx = rng.integers(0, vocab, size=(batch, 2 * window))
+            mask = (rng.random((batch, 2 * window)) < live_share).astype(np.float32)
+            mask[np.arange(batch), rng.integers(0, 2 * window, size=batch)] = 1.0  # one live slot at least
+            negatives = _draws(rng, centers, vocab, k)
+            expected = _two_kernel_cbow_chunk(ref_in, ref_out, centers, ctx, mask, negatives, lr)
+            got = _process_chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
+
+        assert got == expected  # loss, examples, rows updated, rows clipped
+        assert np.array_equal(w_in, ref_in)
+        assert np.array_equal(w_out, ref_out)
+
+
+class TestCbowWindow:
+    SENTENCES = [["a", "p", "b", "q", "c"], ["b", "q", "c"], ["d", "p", "a"], ["e"]]  # longest walk: 5 tokens
+
+    def test_columns_bounded_by_longest_walk(self):
+        vocab = build_vocabulary(self.SENTENCES)
+        ctx, mask, centers = _cbow_groups(_encode_sentences(self.SENTENCES, vocab), 1000)
+        assert ctx.shape == mask.shape == (centers.shape[0], 2 * 4)
+        assert mask.sum(axis=1).min() >= 1
+
+    def test_window_past_longest_walk_changes_nothing(self):
+        narrow = train(self.SENTENCES, TrainConfig(mode="cbow", dimension=6, window=4, negatives=3, epochs=3, seed=5))
+        wide = train(self.SENTENCES, TrainConfig(mode="cbow", dimension=6, window=1000, negatives=3, epochs=3, seed=5))
+        assert np.array_equal(narrow.vectors, wide.vectors)
+        assert np.array_equal(narrow.context_vectors, wide.context_vectors)
 
 
 class TestModelFiles:
@@ -471,6 +590,13 @@ class TestModelFiles:
             load_model(path)
         assert err.value.line == 2
 
+    def test_header_dimension_checked_before_allocation(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("1 1000000000000\na 1\n")  # 4 TB of float32, were it allocated
+        with pytest.raises(ModelFormatError, match="found 2 fields") as err:
+            load_model(path)
+        assert err.value.line == 2
+
     def test_bad_float(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("1 2\na 1 x\n")
@@ -490,6 +616,10 @@ class TestModelFiles:
         path.write_text("banana\n")
         with pytest.raises(ModelFormatError):
             load_model(path)
+        path.write_text("0 1000000000000000000000\n")  # no body line to check, and past any array shape
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert err.value.line == 1
 
     def test_duplicate_token(self, tmp_path):
         path = tmp_path / "model.txt"

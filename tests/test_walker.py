@@ -1,7 +1,7 @@
 import gzip
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import (
@@ -12,7 +12,12 @@ from fixtures import (
     random_graph,
 )
 from kgembed.walker import (
+    Walk,
     WalkConfig,
+    _backward_edges,
+    _forward_edges,
+    _generate,
+    _light_walk,
     generate_classic_walks,
     generate_light_walks,
     read_corpus,
@@ -158,6 +163,78 @@ class TestClassicWalks:
         corpus = generate_classic_walks(g, cfg=WalkConfig(walks_per_entity=2, depth=2, strategy="classic", seed=0))
         assert corpus.entities == g.subject_ids()
         assert len(corpus.walks) == 2 * 2
+
+
+def _candidate_list_light_walk(g, entity, rng, cfg, state):
+    """The light walk as it was written before it indexed its candidates:
+    explicit candidate triples per step, and for the union a set of the
+    backward ones plus a merged copy."""
+    tokens = [entity]
+    anchor = 0
+    pred = _backward_edges(g, entity, state)
+    succ = _forward_edges(g, entity, cfg.include_literals, state)
+    hops = 0
+    while hops < cfg.depth:
+        head = tokens[0]
+        tail = tokens[-1]
+        back_cand = [(s, p, head) for s, p in pred]
+        fwd_cand = [(tail, p, o) for p, o in succ]
+        if cfg.coin_flip_direction:
+            if not back_cand and not fwd_cand:
+                break
+            if back_cand and fwd_cand:
+                pool = back_cand if rng.random() < 0.5 else fwd_cand
+            else:
+                pool = back_cand or fwd_cand
+            choice = pool[rng.randrange(len(pool))]
+            backward = pool is back_cand
+        else:
+            back_set = set(back_cand)
+            cand = list(back_cand)
+            for t in fwd_cand:
+                if t not in back_set:
+                    cand.append(t)
+            if not cand:
+                break
+            choice = cand[rng.randrange(len(cand))]
+            backward = choice in back_set
+        s, p, o = choice
+        if backward:
+            tokens[:0] = [s, p]
+            anchor += 2
+            pred = _backward_edges(g, s, state)
+        else:
+            tokens.extend([p, o])
+            succ = [] if g.is_literal_id(o) else _forward_edges(g, o, cfg.include_literals, state)
+        hops += 1
+    return Walk(tokens, anchor)
+
+
+class TestLightWalkAgainstCandidateLists:
+    NODES = [f"http://ex/n{i}" for i in range(4)]
+    OBJECTS = NODES + ['"x"', '"y"@en']  # object index 4 and 5 are literals
+
+    # edges as (subject, predicate, object) indices; small node sets give
+    # self-loops, tail->head edges and edges shared by both frontiers
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 5)), max_size=14),
+        depth=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        coin_flip=st.booleans(),
+        literals=st.booleans(),
+    )
+    @example(edges=[(0, 0, 0), (1, 0, 0), (0, 1, 1)], depth=4, seed=1, coin_flip=False, literals=False)
+    @example(edges=[(0, 0, 1), (1, 0, 0), (1, 1, 4), (0, 0, 5)], depth=4, seed=2, coin_flip=False, literals=True)
+    @example(edges=[(0, 0, 0), (1, 0, 0), (0, 1, 4)], depth=3, seed=3, coin_flip=True, literals=True)
+    def test_same_walks_anchors_and_lookups(self, edges, depth, seed, coin_flip, literals):
+        triples = [(self.NODES[s], f"http://ex/p{p}", self.OBJECTS[o]) for s, p, o in edges]
+        g = build_graph(triples, extra_nodes=self.NODES)
+        ids = [g.lookup(n) for n in self.NODES]
+        cfg = WalkConfig(
+            walks_per_entity=8, depth=depth, seed=seed, coin_flip_direction=coin_flip, include_literals=literals
+        )
+        assert _generate(g, ids, cfg, _light_walk, 1) == _generate(g, ids, cfg, _candidate_list_light_walk, 1)
 
 
 class TestWalkProperties:
@@ -309,6 +386,19 @@ class TestCorpusFiles:
         path = tmp_path / "corpus.txt"
         assert write_corpus(corpus, path) == 0
         assert path.read_text() == ""
+
+    # str.split() would cut tokens at these; escape_token leaves them in place
+    @pytest.mark.parametrize("char", ["\u00a0", "\u2028", "\u0085", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_unicode_whitespace_inside_tokens_round_trips(self, tmp_path, char):
+        iri, lit = f"http://x/b{char}c", f'"x{char}y"'
+        g = build_graph([(A, P, iri), (iri, Q, lit)])
+        cfg = WalkConfig(walks_per_entity=4, depth=2, seed=0, include_literals=True)
+        corpus = generate_light_walks(g, [iri], cfg)
+        path = tmp_path / "corpus.txt"
+        write_corpus(corpus, path)
+        sentences = read_corpus_tokens(path)
+        assert sentences == corpus.sentences()
+        assert any(iri in s and lit in s for s in sentences)
 
     def test_tokens_with_spaces_survive(self, tmp_path):
         g, corpus = self.make_corpus()
