@@ -37,6 +37,7 @@ from .eval_harness import (
 from .graph_io import ParseError, ParseReport, detect_format, load_graph
 from .service import build_server
 from .trainer import (
+    NEGATIVE_GROUP,
     EmptyCorpusError,
     EmptyVocabularyError,
     ModelFormatError,
@@ -383,6 +384,7 @@ def cmd_train(args) -> int:
         "dimension": cfg.dimension,
         "window": cfg.window,
         "negatives": cfg.negatives,
+        "negative_group": NEGATIVE_GROUP,
         "epochs": cfg.epochs,
         "learning_rate": cfg.learning_rate,
         "min_count": cfg.min_count,

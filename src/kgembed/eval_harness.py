@@ -423,7 +423,8 @@ def load_document_relatedness_gold(
                 raise EvalError(f"{path}:{lineno}: expected 'doc<TAB><id><TAB><entities>'")
             if parts[1] in documents:
                 raise EvalError(f"{path}:{lineno}: duplicate document {parts[1]!r}")
-            documents[parts[1]] = parts[2].split()
+            # entities are separated by spaces only; an IRI may hold other whitespace
+            documents[parts[1]] = [e for e in parts[2].split(" ") if e]
         elif kind == "pair":
             if len(parts) != 4:
                 raise EvalError(f"{path}:{lineno}: expected 'pair<TAB><id><TAB><id><TAB><score>'")

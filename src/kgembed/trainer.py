@@ -7,6 +7,13 @@ center, and a skip-gram pair is an example with one slot, the center itself,
 whose mean is that row unchanged. The mode only decides how the examples are
 built.
 
+Negatives are shared (Lerer et al., PyTorch-BigGraph, SysML 2019): each run
+of at most ``NEGATIVE_GROUP`` consecutive examples in a chunk is contrasted
+with one draw of negatives. The group is scored against its gathered negative
+rows with one batched matmul, and each negative row receives one summed update
+per group rather than one per example. A draw equal to an example's own target
+still counts for nothing in that example.
+
 Updates are applied in vectorized batches: gradients for a batch are computed
 against the tables as they stood when the batch started, and each table
 receives them through one reduce-by-key pass (a stable sort of the target
@@ -39,6 +46,7 @@ _DEFAULT_LR = {"sg": 0.025, "cbow": 0.05}
 _LR_FLOOR_RATIO = 1e-4  # final rate is initial / 10**4
 _MAX_CHUNK = 4096
 _MIN_CHUNK = 8
+NEGATIVE_GROUP = 16  # consecutive examples that share one draw of negatives
 
 
 def _chunk_size(vocab_size: int, lr: float, negatives: int) -> int:
@@ -46,8 +54,11 @@ def _chunk_size(vocab_size: int, lr: float, negatives: int) -> int:
     # row hit many times in one chunk accumulates stale updates. Expected
     # hits per row scale as chunk * (1 + negatives) / vocab and the runaway
     # threshold is roughly lr * hits ~ 2.5 (measured); stay well below it.
-    # Rows hit far above expectation (hub tokens) are handled by the row
-    # clipping in _add_rows_clipped.
+    # Shared negatives do not change this: a group's one update to a negative
+    # row sums its examples' gradients, so in expectation the row moves as far
+    # as under per-example draws, in fewer and larger steps. Rows hit far
+    # above expectation (hub tokens) are handled by the row clipping in
+    # _add_rows_clipped.
     budget = vocab_size / (lr * (1 + negatives))
     return max(_MIN_CHUNK, min(_MAX_CHUNK, int(budget)))
 
@@ -242,6 +253,12 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _softplus(x):
+    # log(1 + exp(x)) without overflow: np.logaddexp(0, x), several times
+    # faster on float32 arrays
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def _as_negatives(negatives, dim: int) -> np.ndarray:
     negs = np.asarray(negatives, dtype=np.float64)
     if negs.size == 0:
@@ -281,8 +298,14 @@ def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
     """One negative-sampling step for a chunk of examples. Example b predicts
     the ``w_out`` row ``targets[b]`` from the masked mean ``h[b]`` of its
     ``w_in`` rows ``inputs[b]``; a skip-gram pair is an example with one slot.
-    Returns the summed loss, the example count, and the rows updated and
-    clipped in the two tables."""
+
+    ``negatives`` holds one row of draws per group of ``m = ceil(B / G)``
+    consecutive examples, ``(G, K)`` for ``B`` examples, and example b is
+    contrasted with row ``b // m`` (the last group may be partial). Each group
+    is scored with one batched matmul against its ``K`` gathered rows, and
+    moves each of them once, by the sum over its examples. ``G = B`` is the
+    per-example step. Returns the summed loss, the example count, and the rows
+    updated and clipped in the two tables."""
     # overflow in a diverging run is caught by the loss guard, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         counts = mask.sum(axis=1)  # >= 1 by construction
@@ -290,19 +313,28 @@ def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
         ut = w_out[targets]
         pos = np.einsum("bd,bd->b", h, ut)
         gp = 1.0 - _sigmoid(pos)
-        loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
+        loss = float(_softplus(-pos).sum(dtype=np.float64))
+        (b, dim), (g, k) = h.shape, negatives.shape
+        m = -(-b // g)
+        hg = np.zeros((g * m, dim), dtype=h.dtype)
+        hg[:b] = h
+        hg = hg.reshape(g, m, dim)  # zero rows pad the last group
         un = w_out[negatives]
-        ns = np.einsum("bd,bkd->bk", h, un)
-        live = negatives != targets[:, None]  # a draw equal to the positive is skipped
+        ns = np.matmul(hg, un.transpose(0, 2, 1))
+        padded = np.full(g * m, -1, dtype=targets.dtype)
+        padded[:b] = targets
+        live = negatives[:, None, :] != padded.reshape(g, m, 1)  # a draw equal to the positive is skipped
+        live.reshape(g * m, k)[b:] = False  # and so are the padding rows
         gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
-        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
-        dh = gp[:, None] * ut + np.einsum("bk,bkd->bd", gn, un)
-        # example b moves its target row by lr*gp[b]*h[b] and its k-th negative
-        # row by lr*gn[b, k]*h[b]
-        b, k = negatives.shape
+        loss += float(_softplus(np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
+        dh = gp[:, None] * ut + np.matmul(gn, un).reshape(g * m, dim)[:b]
+        # example b moves its target row by lr*gp[b]*h[b]; group j moves its
+        # k-th negative row once, by the sum of lr*gn[b, k]*h[b] over its examples
+        grouped = np.matmul((lr * gn).transpose(0, 2, 1), hg).reshape(g * k, dim)
         rows = np.concatenate([targets, negatives.ravel()])
-        owner = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
-        out_rows, out_clipped = _add_rows_clipped(w_out, rows, h, owner, lr * np.concatenate([gp, gn.ravel()]))
+        src = np.concatenate([h, grouped])
+        weights = np.concatenate([lr * gp, np.ones(g * k, dtype=gp.dtype)])
+        out_rows, out_clipped = _add_rows_clipped(w_out, rows, src, np.arange(rows.size), weights)
         # the mean distributes the head gradient equally over live input slots
         slot_owner, slot = np.nonzero(mask)
         in_rows, in_clipped = _add_rows_clipped(w_in, inputs[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner])
@@ -386,10 +418,11 @@ def train(
     chunks in threads that update the shared tables without locking, in the
     Hogwild style (Recht et al., 2011): concurrent chunks read stale rows and
     may overwrite each other's row updates, which the similarity contracts
-    tolerate. On 2 vCPUs, skip-gram on a hub-heavy corpus (1.8k tokens, 524
-    distinct, 5 epochs) trained ~1.5x faster with ``workers=2`` (median of
-    five runs: 1.04 s against 1.53 s), at an epoch-1 loss of 15.8-16.5
-    against 14.7 and a final loss of 4.17-4.26 against 4.08.
+    tolerate. With shared negatives, ``workers=2`` no longer speeds anything
+    up: on 2 vCPUs, skip-gram on a hub-heavy corpus (1.8k tokens, 548
+    distinct, 5 epochs) took 0.26 s against 0.23 s with one worker (median
+    of five runs), at an epoch-1 loss of 16.0-16.4 against 14.8 and a final
+    loss of 4.16-4.19 against 4.15.
 
     Each epoch logs one line and appends an :class:`EpochStats` to
     ``model.epoch_stats``.
@@ -430,11 +463,8 @@ def train(
         def run_chunk(item):
             ci, (lo, hi) = item
             chunk_rng = np.random.default_rng((cfg.seed, epoch, ci))
-            if cfg.negatives > 0:
-                draws = chunk_rng.random((hi - lo, cfg.negatives))
-                negatives = np.searchsorted(cumulative, draws).astype(np.int64)
-            else:
-                negatives = np.zeros((hi - lo, 0), dtype=np.int64)
+            draws = chunk_rng.random((-(-(hi - lo) // NEGATIVE_GROUP), cfg.negatives))
+            negatives = np.searchsorted(cumulative, draws).astype(np.int64)
             progress = (epoch * n_updates + lo) / total_scheduled
             lr = np.float32(lr0 * (1.0 - (1.0 - _LR_FLOOR_RATIO) * progress))
             return _process_chunk(w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr)

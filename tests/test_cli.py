@@ -5,7 +5,7 @@ import pytest
 from fixtures import two_cluster_fixture
 from kgembed.cli import build_parser, main, manifest_path, read_manifest
 from kgembed.graph_io import load_graph, write_ntriples
-from kgembed.trainer import load_model
+from kgembed.trainer import NEGATIVE_GROUP, load_model
 
 
 @pytest.fixture()
@@ -179,6 +179,7 @@ class TestTrainCommand:
         manifest = read_manifest(manifest_path(model_file))
         assert manifest["strategy"] == "Light_12_3_SG_16"
         assert manifest["learning_rate"] == "0.025"
+        assert manifest["negative_group"] == str(NEGATIVE_GROUP)  # model bytes depend on it
 
     def test_epoch_counters_and_phase_timings_in_manifest(self, workspace, capsys):
         tmp_path, graph_file, entities_file, _, _ = workspace

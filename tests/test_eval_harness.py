@@ -485,6 +485,13 @@ class TestGoldLoaders:
         assert documents == {"d1": ["http://ex/a", "http://ex/b"], "d2": ["http://ex/c"]}
         assert pairs == [("d1", "d2", 3.25)]
 
+    @pytest.mark.parametrize("char", ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_document_entities_split_on_spaces_only(self, tmp_path, char):
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"doc\td1\t http://ex/a{char}b  http://ex/c \n", encoding="utf-8")
+        documents, _ = load_document_relatedness_gold(path)
+        assert documents == {"d1": [f"http://ex/a{char}b", "http://ex/c"]}
+
     def test_document_relatedness_bad_kind(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("banana\td1\tx\n")

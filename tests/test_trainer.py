@@ -13,7 +13,6 @@ from kgembed.trainer import (
     _cbow_groups,
     _encode_sentences,
     _process_chunk,
-    _sigmoid,
     EmptyCorpusError,
     EmptyVocabularyError,
     ModelFormatError,
@@ -444,77 +443,47 @@ class TestReduceByKeyKernel:
 
 
 # --------------------------------------------------------------------------
-# The one chunk kernel against the separate skip-gram and CBOW kernels it
-# replaced, kept here verbatim: results must match bit for bit
+# Shared negatives: one row of draws per group of m consecutive examples,
+# against the per-example np.add.at kernels with each group's row tiled
 # --------------------------------------------------------------------------
 
 
-def _two_kernel_output_rows(w_out, positives, negatives, src, gp, gn, lr):
-    b, k = negatives.shape
-    rows = np.concatenate([positives, negatives.ravel()])
-    owner = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
-    weights = lr * np.concatenate([gp, gn.ravel()])
-    return _add_rows_clipped(w_out, rows, src, owner, weights)
+def _group_draws(rng, positives, cap, vocab, k):
+    # one row per group of at most cap examples, as train() draws them; the
+    # kernel then sizes every group ceil(B / G), so that no group is empty
+    groups = -(-positives.shape[0] // cap)
+    m = -(-positives.shape[0] // groups)
+    negatives = rng.integers(0, vocab, size=(groups, k))
+    if k:
+        negatives[:, 0] = positives[::m]  # each group's first example draws its own positive
+    return negatives, negatives[np.arange(positives.shape[0]) // m]
 
 
-def _two_kernel_sg_chunk(w_in, w_out, centers, contexts, negatives, lr):
-    with np.errstate(over="ignore", invalid="ignore"):
-        vc = w_in[centers]
-        uo = w_out[contexts]
-        pos = np.einsum("bd,bd->b", vc, uo)
-        gp = 1.0 - _sigmoid(pos)
-        loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
-        un = w_out[negatives]
-        ns = np.einsum("bd,bkd->bk", vc, un)
-        live = negatives != contexts[:, None]
-        gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
-        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
-        dvc = gp[:, None] * uo + np.einsum("bk,bkd->bd", gn, un)
-        b = centers.shape[0]
-        in_rows, in_clipped = _add_rows_clipped(w_in, centers, dvc, np.arange(b), np.full(b, lr))
-        out_rows, out_clipped = _two_kernel_output_rows(w_out, contexts, negatives, vc, gp, gn, lr)
-        return loss, b, in_rows + out_rows, in_clipped + out_clipped
-
-
-def _two_kernel_cbow_chunk(w_in, w_out, centers, ctx, mask, negatives, lr):
-    with np.errstate(over="ignore", invalid="ignore"):
-        vctx = w_in[ctx]
-        counts = mask.sum(axis=1)
-        h = np.einsum("bwd,bw->bd", vctx, mask) / counts[:, None]
-        uc = w_out[centers]
-        pos = np.einsum("bd,bd->b", h, uc)
-        gp = 1.0 - _sigmoid(pos)
-        loss = float(np.logaddexp(0.0, -pos).sum(dtype=np.float64))
-        un = w_out[negatives]
-        ns = np.einsum("bd,bkd->bk", h, un)
-        live = negatives != centers[:, None]
-        gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
-        loss += float(np.logaddexp(0.0, np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
-        dh = gp[:, None] * uc + np.einsum("bk,bkd->bd", gn, un)
-        out_rows, out_clipped = _two_kernel_output_rows(w_out, centers, negatives, h, gp, gn, lr)
-        slot_owner, slot = np.nonzero(mask)
-        in_rows, in_clipped = _add_rows_clipped(w_in, ctx[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner])
-        return loss, centers.shape[0], in_rows + out_rows, in_clipped + out_clipped
-
-
-class TestOneKernel:
-    @settings(max_examples=120, deadline=None)
+class TestGroupedNegatives:
+    @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
         mode=st.sampled_from(MODES),
         vocab=st.integers(1, 12),
         dim=st.integers(1, 6),
         batch=st.integers(1, 20),
+        cap=st.integers(1, 24),
         window=st.integers(1, 3),
         k=st.integers(0, 4),
         live_share=st.sampled_from([0.2, 0.6, 1.0]),
         lr=st.sampled_from([0.025, 0.5, 4.0]),
     )
-    @example(seed=0, mode="sg", vocab=5, dim=3, batch=6, window=1, k=0, live_share=1.0, lr=0.5)  # negatives=0
-    @example(seed=0, mode="cbow", vocab=5, dim=3, batch=6, window=2, k=0, live_share=0.6, lr=0.5)
-    @example(seed=4, mode="sg", vocab=1, dim=2, batch=9, window=1, k=3, live_share=1.0, lr=4.0)  # every draw is the positive
-    @example(seed=5, mode="cbow", vocab=3, dim=4, batch=12, window=3, k=2, live_share=0.2, lr=4.0)  # mostly masked slots
-    def test_matches_the_two_kernels_exactly(self, seed, mode, vocab, dim, batch, window, k, live_share, lr):
+    @example(seed=0, mode="sg", vocab=5, dim=3, batch=6, cap=4, window=1, k=0, live_share=1.0, lr=0.5)  # negatives=0
+    @example(seed=0, mode="cbow", vocab=5, dim=3, batch=6, cap=2, window=2, k=0, live_share=0.6, lr=0.5)
+    @example(seed=1, mode="sg", vocab=9, dim=4, batch=10, cap=4, window=1, k=3, live_share=1.0, lr=0.5)  # partial last group
+    @example(seed=2, mode="cbow", vocab=9, dim=4, batch=11, cap=3, window=2, k=3, live_share=0.6, lr=0.5)
+    @example(seed=3, mode="sg", vocab=8, dim=3, batch=7, cap=1, window=1, k=2, live_share=1.0, lr=0.5)  # G = B
+    @example(seed=3, mode="cbow", vocab=8, dim=3, batch=7, cap=20, window=2, k=2, live_share=0.6, lr=0.5)  # G = 1
+    @example(seed=4, mode="sg", vocab=1, dim=2, batch=9, cap=4, window=1, k=3, live_share=1.0, lr=4.0)  # every draw is the positive
+    @example(seed=5, mode="cbow", vocab=3, dim=4, batch=12, cap=5, window=3, k=2, live_share=0.2, lr=4.0)  # mostly masked slots
+    def test_matches_per_example_reference_with_tiled_negatives(
+        self, seed, mode, vocab, dim, batch, cap, window, k, live_share, lr
+    ):
         rng = np.random.default_rng(seed)
         w_in, w_out = _tables(rng, vocab, dim)
         centers = rng.integers(0, vocab, size=batch)
@@ -522,20 +491,27 @@ class TestOneKernel:
         ref_in, ref_out = w_in.copy(), w_out.copy()
         if mode == "sg":
             contexts = rng.integers(0, vocab, size=batch)
-            negatives = _draws(rng, contexts, vocab, k)
-            expected = _two_kernel_sg_chunk(ref_in, ref_out, centers, contexts, negatives, lr)
-            got = _process_chunk(w_in, w_out, *_sg_examples(centers), contexts, negatives, lr)
+            negatives, tiled = _group_draws(rng, contexts, cap, vocab, k)
+            ref_loss = _reference_sg_chunk(ref_in, ref_out, centers, contexts, tiled, lr)
+            loss, examples, updated, clipped = _process_chunk(
+                w_in, w_out, *_sg_examples(centers), contexts, negatives, lr
+            )
+            live_slots, positives = centers, contexts
         else:
             ctx = rng.integers(0, vocab, size=(batch, 2 * window))
             mask = (rng.random((batch, 2 * window)) < live_share).astype(np.float32)
             mask[np.arange(batch), rng.integers(0, 2 * window, size=batch)] = 1.0  # one live slot at least
-            negatives = _draws(rng, centers, vocab, k)
-            expected = _two_kernel_cbow_chunk(ref_in, ref_out, centers, ctx, mask, negatives, lr)
-            got = _process_chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
+            negatives, tiled = _group_draws(rng, centers, cap, vocab, k)
+            ref_loss = _reference_cbow_chunk(ref_in, ref_out, centers, ctx, mask, tiled, lr)
+            loss, examples, updated, clipped = _process_chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
+            live_slots, positives = ctx[mask > 0], centers
 
-        assert got == expected  # loss, examples, rows updated, rows clipped
-        assert np.array_equal(w_in, ref_in)
-        assert np.array_equal(w_out, ref_out)
+        assert examples == batch
+        assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
+        np.testing.assert_allclose(w_in, ref_in, **F32_TOL)
+        np.testing.assert_allclose(w_out, ref_out, **F32_TOL)
+        assert updated == np.unique(live_slots).size + np.unique(np.concatenate([positives, negatives.ravel()])).size
+        assert 0 <= clipped <= updated
 
 
 class TestCbowWindow:
