@@ -4,10 +4,13 @@ Stages communicate through files (corpus, model, CSV) so each can be re-run
 independently. Every command records a flat ``key=value`` manifest next to
 its output: the resolved configuration and input digests are written before
 the stage produces anything, wall-clock timings are appended afterwards.
-Re-running a command with the flags recorded in its manifest (and
-``--workers 1``) reproduces the output byte for byte.
+Re-running a command with the flags recorded in its manifest reproduces the
+output byte for byte; for ``train`` that needs ``--workers 1``. Walks always
+run on one thread, so ``walk`` accepts only ``--workers 1``.
 
-Exit codes: 0 success, 2 usage, 3 environment/IO, 4 data.
+Exit codes: 0 success; 2 usage, including a flag out of range; 3
+environment/IO, including a truncated or corrupt gzip stream; 4 data,
+including a text input that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import logging
 import signal
 import sys
 import time
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -82,7 +86,11 @@ _DATA_ERRORS = (
     ZeroVectorError,
     DegenerateVarianceError,
     NonPositiveCorrelationError,
+    UnicodeDecodeError,
 )
+
+# a truncated gzip stream raises EOFError and a corrupt one zlib.error
+_ENV_ERRORS = (OSError, EOFError, zlib.error)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
+    except _ENV_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENV
     finally:
@@ -178,6 +186,20 @@ def positive_float(text: str) -> float:
     return value
 
 
+def fold_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be >= 2")
+    return value
+
+
+def port_number(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be 0-65535")
+    return value
+
+
 def nonnegative_float(text: str) -> float:
     value = float(text)
     if value < 0:
@@ -201,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--depth", type=positive_int, default=4, help="node hops beyond the anchor (default 4)")
     walk.add_argument("--include-literals", action="store_true")
     walk.add_argument("--seed", type=int, default=42)
-    walk.add_argument("--workers", type=positive_int, default=1)
+    walk.add_argument("--workers", type=int, default=1, help="walks run on one thread: only 1 is accepted")
     walk.add_argument("--out", default="corpus.txt.gz")
     walk.set_defaults(func=cmd_walk)
 
@@ -225,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--gold", default=None, help="gold file (all tasks except density)")
     eval_p.add_argument("--corpus", default=None, help="walk corpus (density task)")
     eval_p.add_argument("--entities", default=None, help="anchor entity file for the density task")
-    eval_p.add_argument("--folds", type=positive_int, default=10)
+    eval_p.add_argument("--folds", type=fold_count, default=10)
     eval_p.add_argument("--knn-k", type=positive_int, default=3)
     eval_p.add_argument("--ridge", type=nonnegative_float, default=1e-2)
     eval_p.add_argument("--seed", type=int, default=0)
@@ -236,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="serve a model over HTTP")
     serve.add_argument("--model", required=True)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080)
+    serve.add_argument("--port", type=port_number, default=8080)
     serve.set_defaults(func=cmd_serve)
     return parser
 
@@ -258,6 +280,8 @@ def _read_entity_file(path: str | Path) -> list[str]:
 
 def cmd_walk(args) -> int:
     started = time.perf_counter()
+    if args.workers != 1:
+        raise UsageError("walks run on one thread, so --workers must be 1 (--workers applies to train)")
     sources = []
     for graph_path in args.graph:
         if args.format:
@@ -284,7 +308,6 @@ def cmd_walk(args) -> int:
         "depth": args.depth,
         "include_literals": args.include_literals,
         "seed": args.seed,
-        "workers": args.workers,
         "out": args.out,
     }
     for i, (path, fmt) in enumerate(sources):
@@ -315,9 +338,9 @@ def cmd_walk(args) -> int:
     )
     walk_started = time.perf_counter()
     if args.mode == "light":
-        corpus = generate_light_walks(graph, entity_list, cfg, workers=args.workers)
+        corpus = generate_light_walks(graph, entity_list, cfg)
     else:
-        corpus = generate_classic_walks(graph, entity_list, cfg, workers=args.workers)
+        corpus = generate_classic_walks(graph, entity_list, cfg)
     if not corpus.entities:
         raise DataError("no entities of interest found in the graph")
     count = write_corpus(corpus, args.out)

@@ -418,11 +418,12 @@ def train(
     chunks in threads that update the shared tables without locking, in the
     Hogwild style (Recht et al., 2011): concurrent chunks read stale rows and
     may overwrite each other's row updates, which the similarity contracts
-    tolerate. With shared negatives, ``workers=2`` no longer speeds anything
-    up: on 2 vCPUs, skip-gram on a hub-heavy corpus (1.8k tokens, 548
-    distinct, 5 epochs) took 0.26 s against 0.23 s with one worker (median
-    of five runs), at an epoch-1 loss of 16.0-16.4 against 14.8 and a final
-    loss of 4.16-4.19 against 4.15.
+    tolerate. The numpy calls release the GIL, so on 2 vCPUs ``workers=2``
+    trains faster, at a worse loss per epoch and without reproducibility:
+    skip-gram on a hub-heavy corpus (1.8k tokens, 5 epochs) took 0.32 s
+    against 0.37 s with one worker (median of ten interleaved runs), at a
+    final loss of 4.17-4.27 against 4.15; on 45k tokens, one epoch took
+    1.25 s against 2.03 s, at a loss of 9.16-9.41 against 7.86.
 
     Each epoch logs one line and appends an :class:`EpochStats` to
     ``model.epoch_stats``.

@@ -16,14 +16,13 @@ Walks are token-id sequences alternating node, predicate, node, ... with at
 most ``depth`` node hops beyond the anchor (``2 * depth + 1`` tokens). A dead
 end (no candidate edge) ends the walk early; it is emitted as-is, possibly as
 the bare anchor. Each (entity, walk-index) pair derives its own RNG stream
-from the master seed, so output does not depend on scheduling order.
+from the master seed, so output does not depend on entity order.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -201,29 +200,14 @@ def _classic_walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkC
     return Walk(tokens, 0)
 
 
-def _generate(
-    g: KnowledgeGraph,
-    ids: list[int],
-    cfg: WalkConfig,
-    step: Callable[..., Walk],
-    workers: int,
-) -> tuple[list[Walk], int]:
-    def per_entity(entity: int) -> tuple[list[Walk], int]:
-        state = [0]
-        walks = [
-            step(g, entity, _walk_rng(cfg.seed, entity, k), cfg, state)
-            for k in range(cfg.walks_per_entity)
-        ]
-        return walks, state[0]
-
-    if workers <= 1 or len(ids) <= 1:
-        results = [per_entity(i) for i in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(per_entity, ids))
-    walks = [w for batch, _ in results for w in batch]
-    lookups = sum(n for _, n in results)
-    return walks, lookups
+def _generate(g: KnowledgeGraph, ids: list[int], cfg: WalkConfig, step: Callable[..., Walk]) -> tuple[list[Walk], int]:
+    state = [0]
+    walks = [
+        step(g, entity, _walk_rng(cfg.seed, entity, k), cfg, state)
+        for entity in ids
+        for k in range(cfg.walks_per_entity)
+    ]
+    return walks, state[0]
 
 
 def generate_light_walks(
@@ -235,13 +219,19 @@ def generate_light_walks(
 ) -> WalkCorpus:
     """Generate ``cfg.walks_per_entity`` bidirectional walks around each
     entity of interest. Entities not present in the graph are recorded in
-    ``missing_entities`` (with a warning) and produce no walks."""
+    ``missing_entities`` (with a warning) and produce no walks.
+
+    Walks run on one thread: they are pure Python and hold the GIL, so more
+    threads cannot make them faster. ``workers`` is kept for callers that
+    pass ``workers=1``; any other value raises ``ValueError``."""
+    if workers != 1:
+        raise ValueError("walks run on one thread: workers must be 1")
     cfg = cfg or WalkConfig(strategy="light")
     if cfg.strategy != "light":
         raise ValueError("generate_light_walks needs cfg.strategy == 'light'")
     missing: list[str] = []
     ids = _resolve_entities(g, entities, missing)
-    walks, lookups = _generate(g, ids, cfg, _light_walk, workers)
+    walks, lookups = _generate(g, ids, cfg, _light_walk)
     return WalkCorpus(walks, ids, cfg, graph=g, missing_entities=missing, adjacency_lookups=lookups)
 
 
@@ -249,8 +239,6 @@ def generate_classic_walks(
     g: KnowledgeGraph,
     entities: Iterable[str | int] | None = None,
     cfg: WalkConfig | None = None,
-    *,
-    workers: int = 1,
 ) -> WalkCorpus:
     """Generate forward-only walks. Without an explicit entity collection,
     every subject node of the graph is walked."""
@@ -259,7 +247,7 @@ def generate_classic_walks(
         raise ValueError("generate_classic_walks needs cfg.strategy == 'classic'")
     missing: list[str] = []
     ids = g.subject_ids() if entities is None else _resolve_entities(g, entities, missing)
-    walks, lookups = _generate(g, ids, cfg, _classic_walk, workers)
+    walks, lookups = _generate(g, ids, cfg, _classic_walk)
     return WalkCorpus(walks, ids, cfg, graph=g, missing_entities=missing, adjacency_lookups=lookups)
 
 

@@ -1,3 +1,4 @@
+import gzip
 import socket
 
 import pytest
@@ -71,6 +72,20 @@ class TestDefaults:
             build_parser().parse_args(["walk", "--graph", "g.nt", "--mode", "diagonal"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--model", "m", "--task", "classify", "--folds", "1"],
+            ["serve", "--model", "m", "--port", "70000"],
+            ["serve", "--model", "m", "--port", "-1"],
+        ],
+    )
+    def test_out_of_range_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestWalkCommand:
     def test_light_with_all_entities_is_usage_error(self, workspace):
@@ -108,6 +123,7 @@ class TestWalkCommand:
         assert manifest["depth"] == "3"
         assert manifest["graph.0.sha256"]
         assert manifest["entities.path"] == str(entities_file)
+        assert "workers" not in manifest  # walks always run on one thread
         assert "timing.walk_seconds" in manifest
         assert manifest["parse.triples"] == str(len(triples) + 1)
         assert manifest["parse.lines_skipped"] == "2"
@@ -210,6 +226,55 @@ class TestTrainCommand:
         corpus.write_text("")
         rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.txt")])
         assert rc == 4
+
+
+def _damaged_gzip(path, text, how):
+    data = gzip.compress(text.encode(), mtime=0)
+    if how == "truncated":
+        data = data[: len(data) // 2]  # EOFError while reading
+    else:
+        data = data[:20] + bytes(b ^ 0xFF for b in data[20:60]) + data[60:]  # zlib.error
+    path.write_bytes(data)
+
+
+class TestDamagedInput:
+    @pytest.mark.parametrize("how", ["truncated", "corrupt"])
+    @pytest.mark.parametrize("command", ["walk", "train"])
+    def test_damaged_gzip_exit_3(self, workspace, capsys, command, how):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        if command == "walk":
+            damaged = tmp_path / "graph.nt.gz"
+            _damaged_gzip(damaged, graph_file.read_text() * 20, how)
+            argv = ["walk", "--graph", str(damaged), "--entities", str(entities_file)]
+        else:
+            damaged = tmp_path / "corpus.txt.gz"
+            _damaged_gzip(damaged, "http://ex/a http://ex/p http://ex/b\n" * 2000, how)
+            argv = ["train", "--corpus", str(damaged)]
+        rc = main([*argv, "--out", str(tmp_path / "out.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["walk --entities", "train --corpus", "eval --gold", "eval --model", "serve --model"])
+    def test_non_utf8_text_input_exit_4(self, trained, capsys, command):
+        tmp_path, corpus, model_file, gold_file, _ = trained
+        graph_file = tmp_path / "graph.nt"
+        bad = tmp_path / "bad.txt"
+        good = {"--entities": tmp_path / "entities.txt", "--corpus": corpus, "--gold": gold_file, "--model": model_file}
+        bad.write_bytes(good[command.split()[1]].read_bytes() + b"http://ex/\xff\xfe 1\n")
+        with socket.socket() as blocker:
+            # a model that loads would make serve exit 3 on this port, not block
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            argvs = {
+                "walk --entities": ["walk", "--graph", str(graph_file), "--entities", str(bad)],
+                "train --corpus": ["train", "--corpus", str(bad), "--out", str(tmp_path / "m2.txt")],
+                "eval --gold": ["eval", "--model", str(model_file), "--task", "classify", "--gold", str(bad)],
+                "eval --model": ["eval", "--model", str(bad), "--task", "classify", "--gold", str(gold_file)],
+                "serve --model": ["serve", "--model", str(bad), "--port", str(blocker.getsockname()[1])],
+            }
+            rc = main(argvs[command])
+        assert rc == 4
+        assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 @pytest.fixture()

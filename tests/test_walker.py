@@ -11,6 +11,8 @@ from fixtures import (
     enumerate_light_walks,
     random_graph,
 )
+from kgembed.cli import main
+from kgembed.graph_io import write_ntriples
 from kgembed.walker import (
     Walk,
     WalkConfig,
@@ -234,7 +236,7 @@ class TestLightWalkAgainstCandidateLists:
         cfg = WalkConfig(
             walks_per_entity=8, depth=depth, seed=seed, coin_flip_direction=coin_flip, include_literals=literals
         )
-        assert _generate(g, ids, cfg, _light_walk, 1) == _generate(g, ids, cfg, _candidate_list_light_walk, 1)
+        assert _generate(g, ids, cfg, _light_walk) == _generate(g, ids, cfg, _candidate_list_light_walk)
 
 
 class TestWalkProperties:
@@ -277,14 +279,23 @@ class TestWalkProperties:
         other = generate_light_walks(g, entities, WalkConfig(walks_per_entity=5, depth=3, seed=12))
         assert first.walks != other.walks
 
-    def test_workers_do_not_change_output(self):
+    def test_walks_run_on_one_worker_only(self, tmp_path, capsys):
         g = random_graph(seed=13, n_nodes=30, n_edges=90)
         entities = [f"http://ex/r{i}" for i in range(8)]
         cfg = WalkConfig(walks_per_entity=6, depth=3, seed=5)
-        serial = generate_light_walks(g, entities, cfg, workers=1)
-        parallel = generate_light_walks(g, entities, cfg, workers=4)
-        assert serial.walks == parallel.walks
-        assert serial.adjacency_lookups == parallel.adjacency_lookups
+        assert generate_light_walks(g, entities, cfg, workers=1).walks == generate_light_walks(g, entities, cfg).walks
+        with pytest.raises(ValueError, match="one thread"):
+            generate_light_walks(g, entities, cfg, workers=2)
+        graph_file = tmp_path / "g.nt"
+        write_ntriples(g.resolved_triples(), graph_file)
+        entities_file = tmp_path / "e.txt"
+        entities_file.write_text("".join(f"{e}\n" for e in entities))
+        out = tmp_path / "c.txt"
+        rc = main(["walk", "--graph", str(graph_file), "--entities", str(entities_file),
+                   "--workers", "2", "--out", str(out)])
+        assert rc == 2
+        assert "--workers applies to train" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_entity_order_does_not_change_output(self):
         g = random_graph(seed=13, n_nodes=30, n_edges=90)
