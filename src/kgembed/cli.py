@@ -38,7 +38,7 @@ from .eval_harness import (
     results_csv,
     walk_density,
 )
-from .graph_io import ParseError, ParseReport, detect_format, load_graph
+from .graph_io import ParseError, ParseReport, detect_format, load_graph, reading
 from .service import build_server
 from .trainer import (
     NEGATIVE_GROUP,
@@ -93,6 +93,11 @@ _DATA_ERRORS = (
 _ENV_ERRORS = (OSError, EOFError, zlib.error)
 
 
+def _message(exc: BaseException) -> str:
+    """The error message, then each note on it, such as the file being read."""
+    return "".join([str(exc), *(f" ({note})" for note in getattr(exc, "__notes__", ()))])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -106,13 +111,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_DATA
     except _ENV_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_ENV
     finally:
         package_logger.removeHandler(handler)
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_entity_file(path: str | Path) -> list[str]:
     entities = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .graph_io import reading
 from .trainer import EmbeddingModel
 from .vector_ops import ZeroVectorError, cosine, harmonic_mean, pearson, spearman, top_k
 
@@ -354,7 +355,7 @@ def walk_density(corpus) -> DensityReport:
 
 
 def _content_lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

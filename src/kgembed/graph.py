@@ -1,11 +1,27 @@
 """In-memory knowledge graph: interned tokens, bidirectional adjacency, and a
-binary snapshot format."""
+binary snapshot format.
+
+The graph holds no Python object per edge. Each statement is one slot in
+three ``array('i')`` columns (subject, predicate and object ids) in insertion
+order, and the literal and node flags are ``bytearray``s indexed by token id.
+While the graph grows, duplicate statements are caught by a set of packed
+integer keys. Adjacency is read through three compressed sparse row (CSR)
+views, built with a numpy stable argsort: every out-edge, the out-edges to
+non-literal objects, and the in-edges of non-literal objects. A view is an
+offset array per token id plus two int32 edge columns, and each row keeps
+insertion order. :meth:`KnowledgeGraph.freeze` builds the views and drops the
+key set. On an unfrozen graph the views are built when first read and
+dropped by the next change.
+"""
 
 from __future__ import annotations
 
 import struct
+from array import array
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .graph_io import Triple, is_literal_token
 
@@ -29,6 +45,39 @@ class SnapshotFormatError(ValueError):
     pass
 
 
+class Rows(NamedTuple):
+    """One CSR view: row ``v`` pairs ``first[i]`` with ``second[i]`` for
+    ``offsets[v] <= i < offsets[v + 1]``, in insertion order."""
+
+    offsets: array  # int64, one more than the number of token ids
+    first: array  # int32
+    second: array  # int32
+
+    def pairs(self, v: int) -> list[tuple[int, int]]:
+        a, b = self.offsets[v], self.offsets[v + 1]
+        return list(zip(self.first[a:b], self.second[a:b]))
+
+    def size(self, v: int) -> int:
+        return self.offsets[v + 1] - self.offsets[v]
+
+
+class Adjacency(NamedTuple):
+    """The CSR views of a graph, and the literal flags walks need with them."""
+
+    out: Rows  # (predicate, object) of every out-edge
+    out_nodes: Rows  # the out-edges whose object is not a literal
+    in_: Rows  # (subject, predicate) of every edge into a non-literal object
+    literal: bytearray  # 1 where the token id is a literal
+
+
+def _rows(keys: np.ndarray, order: np.ndarray, n: int, first: np.ndarray, second: np.ndarray) -> Rows:
+    """One row per key over the edges ``order`` lists, which a stable sort
+    by ``keys`` has grouped by key in insertion order."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys[order], minlength=n), out=offsets[1:])
+    return Rows(array("q", offsets.tobytes()), array("i", first[order].tobytes()), array("i", second[order].tobytes()))
+
+
 class KnowledgeGraph:
     """Deduplicated triple store over dense integer ids.
 
@@ -45,13 +94,13 @@ class KnowledgeGraph:
     def __init__(self):
         self._tokens: list[str] = []
         self._index: dict[str, int] = {}
-        self._literal: list[bool] = []
-        self._node: list[bool] = []
-        self._out: list[list[tuple[int, int]]] = []
-        self._in: list[list[tuple[int, int]]] = []
-        self._triples: list[tuple[int, int, int]] = []
-        self._seen: set[tuple[int, int, int]] = set()
-        self._node_count = 0
+        self._literal = bytearray()
+        self._node = bytearray()
+        self._s = array("i")
+        self._p = array("i")
+        self._o = array("i")
+        self._seen: set[int] | None = set()  # (s << 64) | (p << 32) | o
+        self._adjacency: Adjacency | None = None
         self._frozen = False
 
     # -- construction -----------------------------------------------------
@@ -65,22 +114,16 @@ class KnowledgeGraph:
             self._index[token] = i
             self._tokens.append(token)
             self._literal.append(is_literal_token(token))
-            self._node.append(False)
-            self._out.append([])
-            self._in.append([])
+            self._node.append(0)
+            self._adjacency = None
         return i
-
-    def _mark_node(self, i: int) -> None:
-        if not self._node[i]:
-            self._node[i] = True
-            self._node_count += 1
 
     def add_node(self, token: str) -> int:
         """Intern a token as a graph node even if no triple mentions it."""
         if is_literal_token(token):
             raise ValueError(f"literal token cannot be a node: {token!r}")
         i = self.intern(token)
-        self._mark_node(i)
+        self._node[i] = 1
         return i
 
     def add_triple(self, subject: str, predicate: str, object: str) -> bool:
@@ -94,16 +137,18 @@ class KnowledgeGraph:
         return self._add_edge_ids(s, p, o)
 
     def _add_edge_ids(self, s: int, p: int, o: int) -> bool:
-        key = (s, p, o)
-        if key in self._seen:
+        seen = self._seen
+        size = len(seen)
+        seen.add(s << 64 | p << 32 | o)
+        if len(seen) == size:
             return False
-        self._seen.add(key)
-        self._triples.append(key)
-        self._mark_node(s)
-        self._out[s].append((p, o))
+        self._s.append(s)
+        self._p.append(p)
+        self._o.append(o)
+        self._node[s] = 1
         if not self._literal[o]:
-            self._mark_node(o)
-            self._in[o].append((s, p))
+            self._node[o] = 1
+        self._adjacency = None
         return True
 
     def add(self, triple: Triple) -> bool:
@@ -112,27 +157,46 @@ class KnowledgeGraph:
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert every statement in order, as :meth:`add` would; returns the
         number that were new. A term already interned costs one dictionary
-        lookup; ``intern`` runs only for statements with an unseen term."""
+        lookup; ``intern`` runs only for unseen terms, in the order ``add``
+        would intern them."""
         if self._frozen:
             raise GraphFrozenError("graph is frozen; no triples can be added")
         get, intern, add_edge = self._index.get, self.intern, self._add_edge_ids
         literal = self._literal
-        before = len(self._triples)
+        before = len(self._s)
         for subject, predicate, obj in triples:
             s, p, o = get(subject), get(predicate), get(obj)
-            if s is None or p is None or o is None or literal[s] or literal[p]:
+            if s is None or p is None or literal[s] or literal[p]:
                 _reject_literals(subject, predicate)
-                s, p, o = intern(subject), intern(predicate), intern(obj)
-            add_edge(s, p, o)
-        return len(self._triples) - before
+                s, p = intern(subject), intern(predicate)
+            add_edge(s, p, intern(obj) if o is None else o)
+        return len(self._s) - before
 
     def freeze(self) -> "KnowledgeGraph":
+        """Build the CSR views and drop the duplicate-key set; no statement or
+        token can be added afterwards."""
+        self.adjacency()
+        self._seen = None
         self._frozen = True
         return self
 
     @property
     def frozen(self) -> bool:
         return self._frozen
+
+    def adjacency(self) -> Adjacency:
+        """The CSR views, built on first read after the last change."""
+        if self._adjacency is None:
+            n = len(self._tokens)
+            s, p, o = (np.frombuffer(column, dtype=np.intc) for column in (self._s, self._p, self._o))
+            to_node = np.frombuffer(self._literal, dtype=np.uint8)[o] == 0
+            by_subject = np.argsort(s, kind="stable")
+            out = _rows(s, by_subject, n, p, o)
+            out_nodes = out if to_node.all() else _rows(s, by_subject[to_node[by_subject]], n, p, o)
+            into_nodes = np.flatnonzero(to_node)
+            in_ = _rows(o, into_nodes[np.argsort(o[into_nodes], kind="stable")], n, s, p)
+            self._adjacency = Adjacency(out, out_nodes, in_, self._literal)
+        return self._adjacency
 
     # -- lookup -------------------------------------------------------------
 
@@ -155,11 +219,11 @@ class KnowledgeGraph:
 
     @property
     def num_nodes(self) -> int:
-        return self._node_count
+        return self._node.count(1)
 
     @property
     def num_edges(self) -> int:
-        return len(self._triples)
+        return len(self._s)
 
     @property
     def num_tokens(self) -> int:
@@ -167,28 +231,29 @@ class KnowledgeGraph:
 
     def is_node(self, i: int) -> bool:
         self._check_id(i)
-        return self._node[i]
+        return bool(self._node[i])
 
     def is_literal_id(self, i: int) -> bool:
         self._check_id(i)
-        return self._literal[i]
+        return bool(self._literal[i])
 
     # -- adjacency ------------------------------------------------------------
 
     def out_edges(self, v: int) -> list[tuple[int, int]]:
         """All (predicate, object) pairs with subject ``v``, in insertion
-        order. The returned list is shared; do not mutate it."""
+        order."""
         self._check_id(v)
-        return self._out[v]
+        return self.adjacency().out.pairs(v)
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         """All (subject, predicate) pairs with non-literal object ``v``."""
         self._check_id(v)
-        return self._in[v]
+        return self.adjacency().in_.pairs(v)
 
     def degree(self, v: int) -> tuple[int, int]:
         self._check_id(v)
-        return len(self._in[v]), len(self._out[v])
+        adjacency = self.adjacency()
+        return adjacency.in_.size(v), adjacency.out.size(v)
 
     def nodes(self) -> Iterator[int]:
         for i, flag in enumerate(self._node):
@@ -197,14 +262,15 @@ class KnowledgeGraph:
 
     def subject_ids(self) -> list[int]:
         """Ids of every node with at least one outgoing edge, ascending."""
-        return [i for i, edges in enumerate(self._out) if edges]
+        offsets = np.frombuffer(self.adjacency().out.offsets, dtype=np.int64)
+        return np.flatnonzero(np.diff(offsets)).tolist()
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
-        return iter(self._triples)
+        return zip(self._s, self._p, self._o)
 
     def resolved_triples(self) -> Iterator[Triple]:
         toks = self._tokens
-        for s, p, o in self._triples:
+        for s, p, o in self.triples():
             yield Triple(toks[s], toks[p], toks[o])
 
     # -- snapshot ---------------------------------------------------------------
@@ -214,14 +280,14 @@ class KnowledgeGraph:
         Loading reproduces identical ids."""
         with open(path, "wb") as fh:
             fh.write(SNAPSHOT_MAGIC)
-            fh.write(struct.pack("<III", self._node_count, len(self._triples), len(self._tokens)))
+            fh.write(struct.pack("<III", self.num_nodes, self.num_edges, len(self._tokens)))
             for token in self._tokens:
                 raw = token.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
-            node_flags = bytes(self._node)
-            fh.write(node_flags)
-            fh.write(b"".join(_EDGE.pack(*edge) for edge in self._triples))
+            fh.write(bytes(self._node))
+            columns = [np.frombuffer(column, dtype=np.intc) for column in (self._s, self._p, self._o)]
+            fh.write(np.stack(columns, axis=1).astype("<u4").tobytes())
 
     @classmethod
     def load_snapshot(cls, path: str | Path) -> "KnowledgeGraph":
@@ -249,7 +315,7 @@ class KnowledgeGraph:
                 raise SnapshotFormatError("trailing bytes after edge list")
         for i, flag in enumerate(node_flags):
             if flag:
-                g._mark_node(i)
+                g._node[i] = 1
         if g.num_nodes != nodes or g.num_edges != edges:
             raise SnapshotFormatError(
                 f"header claims |V|={nodes} |E|={edges}, rebuilt |V|={g.num_nodes} |E|={g.num_edges}"

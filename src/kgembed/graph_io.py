@@ -18,6 +18,12 @@ the general character-by-character parser, so the triples, errors and line
 numbers are those of the general parser alone. ``ParseReport.general_lines``
 counts the lines that took the general parser.
 
+N-Triples input is read in blocks of 1 MiB, split at LF with trailing CRs
+stripped, and decoded one block at a time. Only a block that is not UTF-8 is
+decoded line by line, so each bad line is reported under its own number.
+Readers of files note the path on the errors whose messages would not name
+it (:func:`reading`).
+
 Term token conventions used throughout the package:
 
 * IRIs are stored as bare IRI strings, without angle brackets.
@@ -33,6 +39,8 @@ import gzip
 import io
 import logging
 import re
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -308,22 +316,56 @@ def _as_byte_stream(source: bytes | str | IO[bytes]) -> IO[bytes]:
     return source
 
 
-def _byte_lines(stream: IO[bytes]) -> Iterator[bytes]:
-    """Yield lines without their terminators; an I/O failure propagates with
-    the byte offset reached so far attached as a note."""
+# read size of the N-Triples reader; a line may span blocks
+_BLOCK_SIZE = 1 << 20
+
+
+def _text_lines(stream: IO[bytes]) -> Iterator[str | UnicodeDecodeError]:
+    """Yield the lines of a byte stream, split at LF, with trailing CRs
+    stripped and decoded as UTF-8. A line that is not UTF-8 is yielded as its
+    ``UnicodeDecodeError``. The stream is read in blocks of ``_BLOCK_SIZE``
+    bytes; an I/O failure propagates with the byte offset reached so far
+    attached as a note."""
     offset = 0
+    pending: list[bytes] = []  # the start of a line that runs past the block
     while True:
         try:
-            raw = stream.readline()
+            block = stream.read(_BLOCK_SIZE)
         except OSError as exc:
             exc.bytes_read = offset
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"while reading after byte offset {offset}")
+            _add_note(exc, f"while reading after byte offset {offset}")
             raise
-        if not raw:
-            return
-        offset += len(raw)
-        yield raw.rstrip(b"\r\n")
+        if not block:
+            break
+        offset += len(block)
+        cut = block.rfind(b"\n")
+        if cut < 0:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        yield from _decoded_lines(b"".join(pending))
+        pending = [block[cut + 1 :]]
+    last = b"".join(pending)
+    if last:
+        yield from _decoded_lines(last)
+
+
+def _decoded_lines(chunk: bytes) -> Iterator[str | UnicodeDecodeError]:
+    """The LF-separated lines of ``chunk``, decoded in one call; a chunk that
+    does not decode is decoded line by line, so each bad line reports its own
+    error."""
+    try:
+        lines = chunk.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        for raw in chunk.split(b"\n"):
+            try:
+                yield raw.rstrip(b"\r").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                yield exc
+        return
+    if b"\r" in chunk:
+        lines = [line.rstrip("\r") for line in lines]
+    yield from lines
 
 
 def parse_ntriples(
@@ -349,13 +391,11 @@ def parse_ntriples(
 
 def _ntriples_iter(stream, lenient, report, scope) -> Iterator[Triple]:
     fast_match = _FAST_LINE.fullmatch
-    for lineno, raw in enumerate(_byte_lines(stream), start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
+    for lineno, text in enumerate(_text_lines(stream), start=1):
+        if isinstance(text, UnicodeDecodeError):
             if not lenient:
-                raise ParseError(f"invalid UTF-8: {exc}", lineno) from None
-            report.errors.append((lineno, f"invalid UTF-8: {exc}"))
+                raise ParseError(f"invalid UTF-8: {text}", lineno) from None
+            report.errors.append((lineno, f"invalid UTF-8: {text}"))
             continue
         m = fast_match(text)
         if m is not None:
@@ -636,6 +676,27 @@ def detect_format(path: str | Path) -> str:
     raise ValueError(f"cannot infer RDF format of {path!r}; expected a .nt or .ttl suffix")
 
 
+def _add_note(exc: BaseException, note: str) -> None:
+    """``exc.add_note(note)``, also on Python 3.10, which lacks the method;
+    ``kgembed`` prints the notes after the message."""
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
+# a damaged gzip stream or a file that is not UTF-8 raises these, and their
+# messages do not name the file
+_UNNAMED_ERRORS = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile, ParseError)
+
+
+@contextmanager
+def reading(path: str | Path) -> Iterator[None]:
+    """Note ``path`` on a decode, decompression or parse error raised inside."""
+    try:
+        yield
+    except _UNNAMED_ERRORS as exc:
+        _add_note(exc, f"reading {path}")
+        raise
+
+
 def open_bytes_read(path: str | Path) -> IO[bytes]:
     if str(path).endswith(".gz"):
         return gzip.open(path, "rb")
@@ -682,7 +743,7 @@ def load_graph(
             raise ValueError(f"unknown RDF format {fmt!r}; expected one of {sorted(set(_FORMAT_ALIASES.values()))}")
         scope = f"f{i}"
         first_error = len(report.errors)
-        with open_bytes_read(path) as fh:
+        with reading(path), open_bytes_read(path) as fh:
             if canonical == "ntriples":
                 triples = parse_ntriples(fh, lenient=lenient, report=report, bnode_scope=scope)
             else:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_io import escape_token, open_text_read, open_text_write, unescape_token
+from .graph_io import escape_token, open_text_read, open_text_write, reading, unescape_token
 
 logger = logging.getLogger(__name__)
 
@@ -521,7 +521,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> int:
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model file back. The format carries no frequencies, so the
     vocabulary gets unit counts and a uniform sampling distribution."""
-    with open_text_read(path) as fh:
+    with reading(path), open_text_read(path) as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .graph import KnowledgeGraph, UnknownNodeError
-from .graph_io import escape_token, open_text_read, open_text_write, unescape_token
+from .graph_io import escape_token, open_text_read, open_text_write, reading, unescape_token
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,7 @@ STRATEGIES = ("classic", "light")
 class WalkConfig:
     """Walk generation parameters.
 
-    ``depth`` counts node hops added beyond the anchor. ``coin_flip_direction``
-    switches the light strategy from drawing uniformly over the candidate
-    union to first flipping a fair coin for the direction (falling back to the
-    other side when the chosen frontier is empty).
+    ``depth`` counts node hops added beyond the anchor.
     """
 
     walks_per_entity: int = 500
@@ -50,7 +47,6 @@ class WalkConfig:
     strategy: str = "light"
     include_literals: bool = False
     seed: int = 42
-    coin_flip_direction: bool = False
 
     def __post_init__(self):
         if self.walks_per_entity < 1:
@@ -130,73 +126,78 @@ def _resolve_entities(g: KnowledgeGraph, entities: Iterable[str | int], missing:
     return ids
 
 
-def _forward_edges(g: KnowledgeGraph, node: int, include_literals: bool, state: list[int]) -> list[tuple[int, int]]:
-    state[0] += 1
-    edges = g.out_edges(node)
-    if include_literals:
-        return edges
-    lit = g.is_literal_id
-    return [e for e in edges if not lit(e[1])]
-
-
-def _backward_edges(g: KnowledgeGraph, node: int, state: list[int]) -> list[tuple[int, int]]:
-    state[0] += 1
-    return g.in_edges(node)
-
-
 def _light_walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkConfig, state: list[int]) -> Walk:
+    # the walk holds two CSR rows: the in-edges of its head at ia:ib and the
+    # out-edges of its tail at oa:ob; fetching a row counts one lookup
+    adjacency = g.adjacency()
+    in_offsets, in_s, in_p = adjacency.in_
+    out_offsets, out_p, out_o = adjacency.out if cfg.include_literals else adjacency.out_nodes
+    literal = adjacency.literal
     tokens = [entity]
     anchor = 0
-    pred = _backward_edges(g, entity, state)
-    succ = _forward_edges(g, entity, cfg.include_literals, state)
-    hops = 0
-    while hops < cfg.depth:
-        if cfg.coin_flip_direction:
-            if pred and succ:
-                backward = rng.random() < 0.5
-            elif pred or succ:
-                backward = bool(pred)
-            else:
-                break
-            pool = pred if backward else succ
-            edge = pool[rng.randrange(len(pool))]
+    ia, ib = in_offsets[entity], in_offsets[entity + 1]
+    oa, ob = out_offsets[entity], out_offsets[entity + 1]
+    state[0] += 2
+    for _ in range(cfg.depth):
+        # union of edge sets: an out-edge of the tail into the head is also
+        # an in-edge of the head, so it is drawn once, as backward. Either
+        # row can count those edges; the shorter one does.
+        head = tokens[0]
+        n_back, n_fwd = ib - ia, ob - oa
+        if n_back < n_fwd:
+            shared = in_s[ia:ib].count(tokens[-1]) if n_back else 0
         else:
-            # union of edge sets: an out-edge of the tail into the head is
-            # also an in-edge of the head, so it is drawn once, as backward
-            head = tokens[0]
-            fwd = [e for e in succ if e[1] != head]
-            n = len(pred) + len(fwd)
-            if n == 0:
-                break
-            i = rng.randrange(n)
-            backward = i < len(pred)
-            edge = pred[i] if backward else fwd[i - len(pred)]
-        if backward:
-            s, p = edge
-            tokens[:0] = [s, p]
+            shared = out_o[oa:ob].count(head) if n_fwd else 0
+        n = n_back + n_fwd - shared
+        if n == 0:
+            break
+        i = rng.randrange(n)
+        if i < n_back:
+            s = in_s[ia + i]
+            tokens[:0] = [s, in_p[ia + i]]
             anchor += 2
-            pred = _backward_edges(g, s, state)
+            ia, ib = in_offsets[s], in_offsets[s + 1]
+            state[0] += 1
         else:
-            p, o = edge
-            tokens.extend([p, o])
+            j = _skip_object(out_o, oa, i - n_back, head) if shared else oa + i - n_back
+            o = out_o[j]
+            tokens.extend([out_p[j], o])
             # a literal tail has no outgoing edges; skip the lookup
-            succ = [] if g.is_literal_id(o) else _forward_edges(g, o, cfg.include_literals, state)
-        hops += 1
+            if literal[o]:
+                oa = ob = 0
+            else:
+                oa, ob = out_offsets[o], out_offsets[o + 1]
+                state[0] += 1
     return Walk(tokens, anchor)
 
 
+def _skip_object(objects, start: int, rank: int, head: int) -> int:
+    """Position of the ``rank``-th entry from ``start``, counting from 0, whose
+    object is not ``head``."""
+    k = start
+    while rank or objects[k] == head:
+        if objects[k] != head:
+            rank -= 1
+        k += 1
+    return k
+
+
 def _classic_walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkConfig, state: list[int]) -> Walk:
+    adjacency = g.adjacency()
+    offsets, preds, objects = adjacency.out if cfg.include_literals else adjacency.out_nodes
+    literal = adjacency.literal
     tokens = [entity]
     current = entity
     for _ in range(cfg.depth):
-        if g.is_literal_id(current):
+        if literal[current]:
             break
-        edges = _forward_edges(g, current, cfg.include_literals, state)
-        if not edges:
+        state[0] += 1
+        a, b = offsets[current], offsets[current + 1]
+        if a == b:
             break
-        p, o = edges[rng.randrange(len(edges))]
-        tokens.extend([p, o])
-        current = o
+        j = a + rng.randrange(b - a)
+        current = objects[j]
+        tokens.extend([preds[j], current])
     return Walk(tokens, 0)
 
 
@@ -268,7 +269,7 @@ def write_corpus(corpus: WalkCorpus, path: str | Path) -> int:
 def read_corpus_tokens(path: str | Path) -> list[list[str]]:
     """Read a corpus file back into lists of token strings."""
     sentences: list[list[str]] = []
-    with open_text_read(path) as fh:
+    with reading(path), open_text_read(path) as fh:
         for line in fh:
             # split on the spaces write_corpus puts between tokens only: escaping
             # removes those from tokens, but a token may hold other whitespace

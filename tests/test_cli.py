@@ -252,7 +252,9 @@ class TestDamagedInput:
             argv = ["train", "--corpus", str(damaged)]
         rc = main([*argv, "--out", str(tmp_path / "out.txt")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(damaged) in err
 
     @pytest.mark.parametrize("command", ["walk --entities", "train --corpus", "eval --gold", "eval --model", "serve --model"])
     def test_non_utf8_text_input_exit_4(self, trained, capsys, command):
@@ -274,7 +276,9 @@ class TestDamagedInput:
             }
             rc = main(argvs[command])
         assert rc == 4
-        assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: 'utf-8' codec can't decode" in err
+        assert str(bad) in err
 
 
 @pytest.fixture()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import build_graph, random_graph
+from tuple_list_graph import TupleListGraph
 from kgembed.graph import GraphFrozenError, KnowledgeGraph, SnapshotFormatError, UnknownNodeError
 from kgembed.graph_io import Triple
 
@@ -114,7 +115,8 @@ class TestLiterals:
 
 
 def _state(g: KnowledgeGraph):
-    return (g._tokens, g._index, g._literal, g._node, g._node_count, g._out, g._in, g._triples, g._seen)
+    # the node count is _node.count(1), and adjacency() holds every CSR row
+    return (g._tokens, g._index, g._literal, g._node, g._s, g._p, g._o, g._seen, g.adjacency())
 
 
 # mostly IRIs, so that most lists get past the first literal subject or predicate
@@ -268,3 +270,68 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SnapshotFormatError, match="trailing bytes"):
             KnowledgeGraph.load_snapshot(path)
+
+
+def _observe(g):
+    """Everything the public interface tells about a graph, per id."""
+    n = g.num_tokens
+    return (
+        [g.resolve(i) for i in range(n)],
+        [g.lookup(g.resolve(i)) for i in range(n)],
+        [(g.is_node(i), g.is_literal_id(i), g.out_edges(i), g.in_edges(i), g.degree(i)) for i in range(n)],
+        (g.num_nodes, g.num_edges, n),
+        list(g.nodes()),
+        g.subject_ids(),
+        list(g.triples()),
+    )
+
+
+def _apply(g, op):
+    """Run one construction step; a ValueError is part of the result."""
+    kind, arg = op
+    try:
+        if kind == "node":
+            return g.add_node(arg)
+        if kind == "triple":
+            return g.add_triple(*arg)
+        return g.add_all(Triple(*t) for t in arg)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# self-loops and duplicates come from the small token set; literals reach
+# every position, so some steps raise
+_GRAPH_TOKENS = st.sampled_from([A, B, C, P, A, B, C, P, "_:x", TestLiterals.LIT, '"x"@en'])
+_TRIPLE = st.tuples(_GRAPH_TOKENS, _GRAPH_TOKENS, _GRAPH_TOKENS)
+_STEP = st.one_of(
+    st.tuples(st.just("node"), _GRAPH_TOKENS),
+    st.tuples(st.just("triple"), _TRIPLE),
+    st.tuples(st.just("all"), st.lists(_TRIPLE, max_size=12)),
+)
+
+
+class TestAgainstTupleListGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_STEP, max_size=8))
+    def test_same_graph_before_and_after_freeze(self, tmp_path_factory, steps):
+        """The flat-array graph against the tuple-list one it replaced: the
+        same results and errors per step, and the same ids, flags, counts,
+        rows and triples after every step (each read builds the CSR views
+        that the next step drops), after ``freeze`` and after a snapshot
+        round trip, whose bytes are equal too."""
+        g, ref = KnowledgeGraph(), TupleListGraph()
+        for step in steps:
+            assert _apply(g, step) == _apply(ref, step)
+            assert _observe(g) == _observe(ref)
+        g.freeze()
+        ref.freeze()
+        assert g._seen is None
+        assert _observe(g) == _observe(ref)
+        for graph in (g, ref):
+            with pytest.raises(GraphFrozenError):
+                graph.add_triple(A, P, "http://ex/new")
+        folder = tmp_path_factory.mktemp("snapshots")
+        g.save_snapshot(folder / "flat.kgl")
+        ref.save_snapshot(folder / "tuples.kgl")
+        assert (folder / "flat.kgl").read_bytes() == (folder / "tuples.kgl").read_bytes()
+        assert _observe(KnowledgeGraph.load_snapshot(folder / "flat.kgl")) == _observe(ref)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgembed import graph_io
 from kgembed.graph import KnowledgeGraph
 from kgembed.graph_io import (
     _FAST_LINE,
@@ -15,6 +16,7 @@ from kgembed.graph_io import (
     _Bad,
     _parse_nt_statement,
     _Scan,
+    _text_lines,
     detect_format,
     load_graph,
     parse_ntriples,
@@ -110,7 +112,7 @@ class TestNTriples:
             def __init__(self):
                 self.calls = 0
 
-            def readline(self):
+            def read(self, size=-1):
                 self.calls += 1
                 if self.calls > 1:
                     raise OSError("disk gone")
@@ -130,6 +132,70 @@ class TestNTriples:
         else:
             expected = data.count(b"\n") + (0 if data.endswith(b"\n") else 1)
         assert report.triples_emitted + report.lines_skipped + len(report.errors) == expected
+
+
+def readline_lines(stream):
+    """The line reader before blocks: one ``readline`` call per line, and
+    each line decoded on its own."""
+    while True:
+        raw = stream.readline()
+        if not raw:
+            return
+        try:
+            yield raw.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            yield exc
+
+
+def _comparable(lines):
+    return [line if isinstance(line, str) else ("invalid", str(line)) for line in lines]
+
+
+def _parsed(data: bytes, lenient: bool):
+    report = ParseReport()
+    try:
+        triples = list(parse_ntriples(data, lenient=lenient, report=report))
+    except ParseError as exc:
+        return ("ParseError", exc.line, str(exc)), report
+    return triples, report
+
+
+# line shapes, terminators (LF, CRLF, lone CR) and bytes that are not UTF-8:
+# a lone continuation byte, a truncated two-byte sequence and a truncated
+# three-byte one; joined in any order, with or without a final LF
+_FRAGMENTS = [
+    b"<http://ex/a> <http://ex/p> <http://ex/b> .",
+    b'<http://ex/a> <http://ex/q> "caf\xc3\xa9" .',
+    b"# comment",
+    b"junk",
+    b" ",
+    b"\xc3\xa9",
+    b"\n",
+    b"\n",
+    b"\r\n",
+    b"\r",
+    b"\xff",
+    b"\xc3",
+    b"\xe2\x82",
+]
+
+
+class TestBlockReader:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=30), st.integers(1, 64))
+    def test_matches_readline_reader(self, fragments, block_size):
+        """Blocks of 1-64 bytes split lines, CRLF pairs and multi-byte
+        characters anywhere; lines, decode errors, line numbers, triples and
+        reports must match the ``readline`` reader, lenient and strict."""
+        data = b"".join(fragments)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_io, "_BLOCK_SIZE", block_size)
+            lines = _comparable(_text_lines(io.BytesIO(data)))
+            parsed = [_parsed(data, lenient) for lenient in (True, False)]
+        assert lines == _comparable(readline_lines(io.BytesIO(data)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_io, "_text_lines", readline_lines)
+            assert parsed == [_parsed(data, lenient) for lenient in (True, False)]
 
 
 def general_only(data: bytes, *, lenient: bool = True, scope: str = "f0"):
@@ -406,6 +472,14 @@ class TestTurtleSubset:
 
 
 class TestLoadGraph:
+    def test_strict_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.nt"
+        path.write_bytes(b"<http://ex/a> <http://ex/p> <http://ex/b> .\n\xff\n")
+        with pytest.raises(ParseError, match="invalid UTF-8") as err:
+            load_graph([(path, "ntriples")], lenient=False)
+        assert err.value.line == 2
+        assert err.value.__notes__ == [f"reading {path}"]
+
     def test_counts_and_dedup(self, tmp_path):
         one = tmp_path / "one.nt"
         one.write_text(

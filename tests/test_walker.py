@@ -16,8 +16,7 @@ from kgembed.graph_io import write_ntriples
 from kgembed.walker import (
     Walk,
     WalkConfig,
-    _backward_edges,
-    _forward_edges,
+    _classic_walk,
     _generate,
     _light_walk,
     generate_classic_walks,
@@ -97,13 +96,6 @@ class TestLightWalks:
         assert corpus.missing_entities == [P]
         assert corpus.walks == []
 
-    def test_coin_flip_variant_still_valid(self):
-        g = random_graph(seed=21, n_nodes=30, n_edges=80)
-        entities = [f"http://ex/r{i}" for i in range(8)]
-        cfg = WalkConfig(walks_per_entity=5, depth=3, seed=4, coin_flip_direction=True)
-        corpus = generate_light_walks(g, entities, cfg)
-        assert_corpus_valid(g, corpus, depth=3, light=True)
-
     def test_candidates_drawn_uniformly_over_the_union(self):
         # two ways backward, one way forward: each candidate should be hit
         # about a third of the time, not 50/50 by direction
@@ -130,19 +122,6 @@ class TestLightWalks:
             ((A, P, B, Q, A), 2),  # forward first, then the shared edge prepends
         }
 
-    def test_coin_flip_variant_splits_by_direction_first(self):
-        a1, a2 = "http://ex/in1", "http://ex/in2"
-        g = build_graph([(a1, P, B), (a2, P, B), (B, Q, C)])
-        n = 6000
-        cfg = WalkConfig(walks_per_entity=n, depth=1, seed=0, coin_flip_direction=True)
-        corpus = generate_light_walks(g, [B], cfg)
-        counts = {}
-        for walk in resolve_walks(g, corpus):
-            counts[tuple(walk)] = counts.get(tuple(walk), 0) + 1
-        assert abs(counts[(B, Q, C)] - n / 2) < 250
-        assert abs(counts[(a1, P, B)] - n / 4) < 250
-        assert abs(counts[(a2, P, B)] - n / 4) < 250
-
 
 class TestClassicWalks:
     def test_single_forward_path(self):
@@ -167,10 +146,24 @@ class TestClassicWalks:
         assert len(corpus.walks) == 2 * 2
 
 
+def _forward_edges(g, node, include_literals, state):
+    state[0] += 1
+    edges = g.out_edges(node)
+    if include_literals:
+        return edges
+    return [e for e in edges if not g.is_literal_id(e[1])]
+
+
+def _backward_edges(g, node, state):
+    state[0] += 1
+    return g.in_edges(node)
+
+
 def _candidate_list_light_walk(g, entity, rng, cfg, state):
     """The light walk as it was written before it indexed its candidates:
-    explicit candidate triples per step, and for the union a set of the
-    backward ones plus a merged copy."""
+    edge lists from the graph's public accessors, explicit candidate triples
+    per step, and for the union a set of the backward ones plus a merged
+    copy."""
     tokens = [entity]
     anchor = 0
     pred = _backward_edges(g, entity, state)
@@ -181,25 +174,15 @@ def _candidate_list_light_walk(g, entity, rng, cfg, state):
         tail = tokens[-1]
         back_cand = [(s, p, head) for s, p in pred]
         fwd_cand = [(tail, p, o) for p, o in succ]
-        if cfg.coin_flip_direction:
-            if not back_cand and not fwd_cand:
-                break
-            if back_cand and fwd_cand:
-                pool = back_cand if rng.random() < 0.5 else fwd_cand
-            else:
-                pool = back_cand or fwd_cand
-            choice = pool[rng.randrange(len(pool))]
-            backward = pool is back_cand
-        else:
-            back_set = set(back_cand)
-            cand = list(back_cand)
-            for t in fwd_cand:
-                if t not in back_set:
-                    cand.append(t)
-            if not cand:
-                break
-            choice = cand[rng.randrange(len(cand))]
-            backward = choice in back_set
+        back_set = set(back_cand)
+        cand = list(back_cand)
+        for t in fwd_cand:
+            if t not in back_set:
+                cand.append(t)
+        if not cand:
+            break
+        choice = cand[rng.randrange(len(cand))]
+        backward = choice in back_set
         s, p, o = choice
         if backward:
             tokens[:0] = [s, p]
@@ -210,6 +193,22 @@ def _candidate_list_light_walk(g, entity, rng, cfg, state):
             succ = [] if g.is_literal_id(o) else _forward_edges(g, o, cfg.include_literals, state)
         hops += 1
     return Walk(tokens, anchor)
+
+
+def _edge_list_classic_walk(g, entity, rng, cfg, state):
+    """The classic walk over the edge lists of the graph's public accessors."""
+    tokens = [entity]
+    current = entity
+    for _ in range(cfg.depth):
+        if g.is_literal_id(current):
+            break
+        edges = _forward_edges(g, current, cfg.include_literals, state)
+        if not edges:
+            break
+        p, o = edges[rng.randrange(len(edges))]
+        tokens.extend([p, o])
+        current = o
+    return Walk(tokens, 0)
 
 
 class TestLightWalkAgainstCandidateLists:
@@ -223,20 +222,20 @@ class TestLightWalkAgainstCandidateLists:
         edges=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 5)), max_size=14),
         depth=st.integers(1, 5),
         seed=st.integers(0, 10_000),
-        coin_flip=st.booleans(),
         literals=st.booleans(),
     )
-    @example(edges=[(0, 0, 0), (1, 0, 0), (0, 1, 1)], depth=4, seed=1, coin_flip=False, literals=False)
-    @example(edges=[(0, 0, 1), (1, 0, 0), (1, 1, 4), (0, 0, 5)], depth=4, seed=2, coin_flip=False, literals=True)
-    @example(edges=[(0, 0, 0), (1, 0, 0), (0, 1, 4)], depth=3, seed=3, coin_flip=True, literals=True)
-    def test_same_walks_anchors_and_lookups(self, edges, depth, seed, coin_flip, literals):
+    @example(edges=[(0, 0, 0), (1, 0, 0), (0, 1, 1)], depth=4, seed=1, literals=False)
+    @example(edges=[(0, 0, 1), (1, 0, 0), (1, 1, 4), (0, 0, 5)], depth=4, seed=2, literals=True)
+    # the head's in-edges are fewer than the tail's out-edges, one of which is a self-loop
+    @example(edges=[(0, 0, 1), (1, 0, 0), (1, 1, 2), (1, 1, 3), (1, 0, 2), (1, 0, 1)], depth=3, seed=4, literals=False)
+    def test_same_walks_anchors_and_lookups(self, edges, depth, seed, literals):
         triples = [(self.NODES[s], f"http://ex/p{p}", self.OBJECTS[o]) for s, p, o in edges]
         g = build_graph(triples, extra_nodes=self.NODES)
         ids = [g.lookup(n) for n in self.NODES]
-        cfg = WalkConfig(
-            walks_per_entity=8, depth=depth, seed=seed, coin_flip_direction=coin_flip, include_literals=literals
-        )
+        cfg = WalkConfig(walks_per_entity=8, depth=depth, seed=seed, include_literals=literals)
         assert _generate(g, ids, cfg, _light_walk) == _generate(g, ids, cfg, _candidate_list_light_walk)
+        classic = WalkConfig(walks_per_entity=4, depth=depth, seed=seed, strategy="classic", include_literals=literals)
+        assert _generate(g, ids, classic, _classic_walk) == _generate(g, ids, classic, _edge_list_classic_walk)
 
 
 class TestWalkProperties:
