@@ -37,7 +37,6 @@ from .walker import (
     WalkCorpus,
     generate_classic_walks,
     generate_light_walks,
-    read_corpus,
     read_corpus_tokens,
     write_corpus,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "generate_light_walks",
     "generate_classic_walks",
     "write_corpus",
-    "read_corpus",
     "read_corpus_tokens",
     "TrainConfig",
     "Vocabulary",

@@ -8,9 +8,10 @@ Re-running a command with the flags recorded in its manifest reproduces the
 output byte for byte; for ``train`` that needs ``--workers 1``. Walks always
 run on one thread, so ``walk`` accepts only ``--workers 1``.
 
-Exit codes: 0 success; 2 usage, including a flag out of range; 3
-environment/IO, including a truncated or corrupt gzip stream; 4 data,
-including a text input that is not UTF-8.
+Exit codes: 0 success; 2 usage, including a flag out of range and a
+learning rate at which training diverges; 3 environment/IO, including a
+truncated or corrupt gzip stream; 4 data, including a text input that is not
+UTF-8.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .trainer import (
     EmptyVocabularyError,
     ModelFormatError,
     TrainConfig,
+    TrainingDivergedError,
     UnknownTokenError,
     load_model,
     save_model,
@@ -110,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     package_logger.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TrainingDivergedError) as exc:
+        # a diverging run is a --learning-rate out of range for the corpus
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except _DATA_ERRORS as exc:
@@ -350,6 +353,7 @@ def cmd_walk(args) -> int:
         raise DataError("no entities of interest found in the graph")
     count = write_corpus(corpus, args.out)
     walk_seconds = time.perf_counter() - walk_started
+    lengths = [len(w.tokens) for w in corpus.walks]
 
     append_manifest(
         manifest_path(args.out),
@@ -357,6 +361,8 @@ def cmd_walk(args) -> int:
             "walks_written": count,
             "entities_walked": len(corpus.entities),
             "missing_entities": len(corpus.missing_entities),
+            "walk_tokens": sum(lengths),
+            "dead_ends": sum(n < 2 * cfg.depth + 1 for n in lengths),
             "adjacency_lookups": corpus.adjacency_lookups,
             "parse.triples": report.triples_emitted,
             "parse.lines_skipped": report.lines_skipped,
@@ -452,12 +458,14 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _check_coverage(model, entities: list[str]) -> None:
+def _check_coverage(model, entities: list[str]) -> dict:
+    """Refuse gold entities mostly missing from the model; return their manifest counts."""
     if not entities:
         raise DataError("gold file lists no entities")
     missing = sum(1 for e in entities if e not in model.vocabulary)
     if 2 * missing > len(entities):
         raise DataError(f"{missing} of {len(entities)} gold entities are out of vocabulary")
+    return {"gold.entities": len(entities), "gold.out_of_vocabulary": missing}
 
 
 def _density_corpus(args) -> WalkCorpus:
@@ -503,25 +511,25 @@ def cmd_eval(args) -> int:
         inputs = {"gold.path": args.gold, "gold.sha256": _digest(args.gold)}
         if args.task == "classify":
             data = load_labeled_entities(args.gold)
-            _check_coverage(model, [e for e, _ in data])
+            inputs |= _check_coverage(model, [e for e, _ in data])
             accuracy = knn_classification_cv(model, data, k=args.knn_k, folds=args.folds, seed=args.seed)
             metrics = [("accuracy", accuracy)]
         elif args.task == "regress":
             data = load_regression_targets(args.gold)
-            _check_coverage(model, [e for e, _ in data])
+            inputs |= _check_coverage(model, [e for e, _ in data])
             rmse = linear_regression_cv(model, data, folds=args.folds, ridge=args.ridge, seed=args.seed)
             metrics = [("rmse", rmse)]
         elif args.task == "entity-rel":
             gold = load_entity_relatedness_gold(args.gold)
             mentioned = [s for s, _ in gold] + [c for _, cands in gold for c in cands]
-            _check_coverage(model, mentioned)
+            inputs |= _check_coverage(model, mentioned)
             per_seed, mean = entity_relatedness_eval(model, gold)
             metrics = [(f"spearman:{seed}", rho) for seed, rho in per_seed]
             metrics.append(("spearman_mean", mean))
         else:  # doc-rel
             documents, pairs = load_document_relatedness_gold(args.gold)
             mentioned = sorted({e for ents in documents.values() for e in ents})
-            _check_coverage(model, mentioned)
+            inputs |= _check_coverage(model, mentioned)
             score = document_relatedness_eval(model, documents, pairs)
             metrics = [("harmonic_mean", score)]
 

@@ -5,7 +5,12 @@ example predicts a context (output) row from the masked mean of its input
 rows: a CBOW example averages up to ``2 * window`` context slots around its
 center, and a skip-gram pair is an example with one slot, the center itself,
 whose mean is that row unchanged. The mode only decides how the examples are
-built.
+laid out.
+
+One Python pass over the corpus gives each token an id and a walk index; the
+vocabulary comes from their counts. The examples are built without a loop over
+walks: one numpy step per window offset finds every pair of tokens that far
+apart in one walk and writes them into the skip-gram or CBOW arrays.
 
 Negatives are shared (Lerer et al., PyTorch-BigGraph, SysML 2019): each run
 of at most ``NEGATIVE_GROUP`` consecutive examples in a chunk is contrasted
@@ -30,8 +35,10 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -179,6 +186,37 @@ class Vocabulary:
         return i
 
 
+def _corpus_ids(sentences: Iterable[Sequence[str]], min_count: int) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The one Python pass over the tokens: the vocabulary, then the id and
+    walk index of each in-vocabulary token, in corpus order. Dropping the
+    other tokens closes up their neighbours."""
+    index: dict[str, int] = defaultdict(count().__next__)  # first-seen ids
+    lengths: list[int] = []
+
+    def walks():
+        for sentence in sentences:
+            lengths.append(len(sentence))
+            yield sentence
+
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(walks())), dtype=np.int64)
+    if ids.size == 0:
+        raise EmptyCorpusError("empty-corpus: no tokens in input")
+    walk = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.bincount(ids)
+    order = np.argsort(-counts, kind="stable")  # ties keep first-seen order
+    order = order[counts[order] >= min_count]
+    rank = np.full(counts.size, -1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    ids = rank[ids]
+    kept = ids >= 0
+    first_seen = list(index)
+    tokens = [first_seen[i] for i in order.tolist()]
+    freq = counts[order]
+    weights = freq.astype(np.float64) ** 0.75
+    vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, freq, weights / weights.sum())
+    return vocab, ids[kept], walk[kept]
+
+
 def build_vocabulary(sentences: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Count tokens and keep those occurring at least ``min_count`` times.
 
@@ -187,23 +225,7 @@ def build_vocabulary(sentences: Iterable[Sequence[str]], min_count: int = 1) -> 
     where nothing reaches the floor yields an empty vocabulary, which the
     trainer rejects downstream.
     """
-    counts: dict[str, int] = {}
-    total = 0
-    for sentence in sentences:
-        for token in sentence:
-            counts[token] = counts.get(token, 0) + 1
-            total += 1
-    if total == 0:
-        raise EmptyCorpusError("empty-corpus: no tokens in input")
-    kept = [t for t, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda t: -counts[t])
-    freq = np.array([counts[t] for t in kept], dtype=np.int64)
-    if len(kept):
-        weights = freq.astype(np.float64) ** 0.75
-        probs = weights / weights.sum()
-    else:
-        probs = np.zeros(0, dtype=np.float64)
-    return Vocabulary(kept, {t: i for i, t in enumerate(kept)}, freq, probs)
+    return _corpus_ids(sentences, min_count)[0]
 
 
 @dataclass(frozen=True)
@@ -346,57 +368,50 @@ def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
 # --------------------------------------------------------------------------
 
 
-def _encode_sentences(sentences, vocab: Vocabulary) -> list[np.ndarray]:
-    index = vocab.index
-    encoded = []
-    for sentence in sentences:
-        ids = [index[t] for t in sentence if t in index]
-        if ids:
-            encoded.append(np.asarray(ids, dtype=np.int64))
-    return encoded
-
-
-def _sg_pairs(encoded, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # each center is a one-slot input that is always live; the zero-stride
-    # mask takes no memory per pair
-    centers, contexts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for a in encoded:
-        n = a.shape[0]
-        for off in range(1, min(window, n - 1) + 1):
-            left, right = a[:-off], a[off:]
-            centers.append(left)
-            contexts.append(right)
-            centers.append(right)
-            contexts.append(left)
-    inputs = np.concatenate(centers)[:, None]
-    return inputs, np.broadcast_to(np.float32(1), inputs.shape), np.concatenate(contexts)
-
-
-def _cbow_groups(encoded, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # columns past the longest walk would only hold masked-out slots
-    window = min(window, max((a.shape[0] for a in encoded), default=1) - 1)
-    width = 2 * window
-    mats = [np.zeros((0, width), dtype=np.int64)]
-    masks = [np.zeros((0, width), dtype=np.float32)]
-    centers = [np.zeros(0, dtype=np.int64)]
-    for a in encoded:
-        n = a.shape[0]
-        if n < 2:
-            continue
-        m = np.zeros((n, width), dtype=np.int64)
-        k = np.zeros((n, width), dtype=np.float32)
-        col = 0
-        for off in range(1, window + 1):
-            if off < n:
-                m[off:, col] = a[:-off]
-                k[off:, col] = 1.0
-                m[:-off, col + 1] = a[off:]
-                k[:-off, col + 1] = 1.0
-            col += 2
-        mats.append(m)
-        masks.append(k)
-        centers.append(a)
-    return np.concatenate(mats), np.concatenate(masks), np.concatenate(centers)
+def _examples(ids: np.ndarray, walk: np.ndarray, window: int, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training examples ``(inputs, mask, targets)`` from token ids and their
+    walk indexes, which must not decrease. The positions ``i`` with
+    ``walk[i] == walk[i + off]`` are the neighbour pairs at offset ``off``.
+    Skip-gram takes each pair both ways, ordered by walk, offset, direction
+    and position. CBOW gives each token of a walk of two or more tokens its
+    left and right neighbours at offset ``off`` in slots ``2 * off - 2`` and
+    ``2 * off - 1``, masked where there is none."""
+    sizes = np.bincount(walk)
+    # offsets past the longest walk would find no pairs
+    reach = min(window, int(sizes.max()) - 1)
+    # a token alone in its walk has no neighbours and is no CBOW center
+    sizes[sizes < 2] = 0
+    kept = sizes[walk] > 0
+    ids, walk = ids[kept], walk[kept]
+    if mode == "cbow":
+        inputs = np.zeros((ids.size, 2 * reach), dtype=np.int64)
+        mask = np.zeros(inputs.shape, dtype=np.float32)
+    else:
+        # pairs go walk by walk, then offset by offset: the pairs (i, i + off)
+        # in position order, then their reverses. A walk of n tokens has
+        # 2 * (n - o) pairs at offset o, (off - 1) * (2 * n - off) below off.
+        reaches = np.clip(sizes - 1, 0, reach)  # offsets with pairs, per walk
+        pairs = reaches * (2 * sizes - reaches - 1)
+        n = sizes[walk]
+        # the slot of the first pair of each token's walk, less the walk's start
+        first = (np.cumsum(pairs) - pairs - np.cumsum(sizes) + sizes)[walk]
+        inputs = np.empty(int(pairs.sum()), dtype=np.int64)
+        targets = np.empty_like(inputs)
+    for off in range(1, reach + 1):
+        left = np.flatnonzero(walk[:-off] == walk[off:])
+        right = left + off
+        if mode == "cbow":
+            inputs[right, 2 * off - 2], mask[right, 2 * off - 2] = ids[left], 1.0
+            inputs[left, 2 * off - 1], mask[left, 2 * off - 1] = ids[right], 1.0
+        else:
+            ahead = first[left] + left + (off - 1) * (2 * n[left] - off)
+            back = ahead + n[left] - off
+            inputs[ahead], targets[ahead] = ids[left], ids[right]
+            inputs[back], targets[back] = ids[right], ids[left]
+    if mode == "cbow":
+        return inputs, mask, ids
+    inputs = inputs[:, None]  # one always-live slot; the zero-stride mask takes no memory
+    return inputs, np.broadcast_to(np.float32(1), inputs.shape), targets
 
 
 # --------------------------------------------------------------------------
@@ -405,12 +420,12 @@ def _cbow_groups(encoded, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def train(
-    sentences: Sequence[Sequence[str]],
+    sentences: Iterable[Sequence[str]],
     cfg: TrainConfig | None = None,
     *,
     workers: int = 1,
 ) -> EmbeddingModel:
-    """Train a model on an in-memory corpus of token sequences.
+    """Train a model on a corpus of token sequences, which is read once.
 
     The learning rate decays linearly from ``cfg.learning_rate`` to one
     ten-thousandth of it over all scheduled updates. With ``workers=1`` the
@@ -429,9 +444,7 @@ def train(
     ``model.epoch_stats``.
     """
     cfg = cfg or TrainConfig()
-    if not isinstance(sentences, (list, tuple)):
-        sentences = [list(s) for s in sentences]
-    vocab = build_vocabulary(sentences, cfg.min_count)
+    vocab, ids, walk = _corpus_ids(sentences, cfg.min_count)
     if len(vocab) == 0:
         raise EmptyVocabularyError(f"empty vocabulary: no token occurs at least min_count={cfg.min_count} times")
 
@@ -440,10 +453,7 @@ def train(
     w_in = ((rng.random((size, dim)) - 0.5) / dim).astype(np.float32)
     w_out = np.zeros((size, dim), dtype=np.float32)
 
-    encoded = _encode_sentences(sentences, vocab)
-    total_tokens = sum(a.shape[0] for a in encoded)
-    examples = _sg_pairs if cfg.mode == "sg" else _cbow_groups
-    inputs, mask, targets = examples(encoded, cfg.window)
+    inputs, mask, targets = _examples(ids, walk, cfg.window, cfg.mode)
     n_updates = targets.shape[0]
     if n_updates == 0:
         # every sentence is a single token; the seeded initialization is the model
@@ -467,7 +477,8 @@ def train(
             draws = chunk_rng.random((-(-(hi - lo) // NEGATIVE_GROUP), cfg.negatives))
             negatives = np.searchsorted(cumulative, draws).astype(np.int64)
             progress = (epoch * n_updates + lo) / total_scheduled
-            lr = np.float32(lr0 * (1.0 - (1.0 - _LR_FLOOR_RATIO) * progress))
+            with np.errstate(over="ignore"):  # a rate past float32 range diverges, and the loss guard says so
+                lr = np.float32(lr0 * (1.0 - (1.0 - _LR_FLOOR_RATIO) * progress))
             return _process_chunk(w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr)
 
         if workers <= 1:
@@ -489,7 +500,7 @@ def train(
             rows_clipped=sum(r[3] for r in results),
         )
         epoch_stats.append(stats)
-        rate = total_tokens / elapsed if elapsed > 0 else float("inf")
+        rate = ids.size / elapsed if elapsed > 0 else float("inf")
         logger.info(
             "epoch=%d tokens/sec=%.0f pairs/sec=%.0f loss=%.6f clipped=%d/%d",
             epoch + 1, rate, stats.pairs_per_s, mean_loss, stats.rows_clipped, stats.row_updates,

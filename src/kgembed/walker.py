@@ -277,23 +277,3 @@ def read_corpus_tokens(path: str | Path) -> list[list[str]]:
             if tokens:
                 sentences.append([unescape_token(t) for t in tokens])
     return sentences
-
-
-def read_corpus(
-    path: str | Path,
-    graph: KnowledgeGraph,
-    *,
-    entities: Iterable[str | int] = (),
-    config: WalkConfig | None = None,
-) -> WalkCorpus:
-    """Re-intern a corpus file against ``graph``. Anchors are recovered as the
-    first occurrence of an entity-of-interest token (0 if none is given)."""
-    missing: list[str] = []
-    ids = _resolve_entities(graph, entities, missing)
-    id_set = set(ids)
-    walks = []
-    for tokens in read_corpus_tokens(path):
-        tids = [graph.lookup(t) for t in tokens]
-        anchor = next((i for i, t in enumerate(tids) if t in id_set), 0)
-        walks.append(Walk(tids, anchor))
-    return WalkCorpus(walks, ids, config, graph=graph, missing_entities=missing)

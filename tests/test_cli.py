@@ -133,6 +133,9 @@ class TestWalkCommand:
         assert manifest["graph.tokens"] == str(graph.num_tokens)
         assert manifest["graph.nodes"] == str(graph.num_nodes)
         assert manifest["graph.edges"] == str(graph.num_edges) == str(len(triples) + 1)
+        lengths = [len(line.split(" ")) for line in lines]
+        assert manifest["walk_tokens"] == str(sum(lengths))
+        assert manifest["dead_ends"] == str(sum(n < 2 * 3 + 1 for n in lengths))  # --depth 3
 
     def test_walk_determinism_byte_identical(self, workspace):
         import gzip
@@ -214,6 +217,16 @@ class TestTrainCommand:
         assert manifest["epoch.2.loss"] == manifest["final_loss"]
         for phase in ("read", "train", "save"):
             assert float(manifest[f"timing.{phase}_seconds"]) >= 0
+
+    def test_diverging_learning_rate_exit_2(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        _, corpus = run_walk(tmp_path, graph_file, entities_file)
+        rc = main(["train", "--corpus", str(corpus), "--learning-rate", "1e39", "--epochs", "1",
+                   "--out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: non-finite loss" in err
+        assert "Traceback" not in err
 
     def test_min_count_filtering_everything_exit_4(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -376,6 +389,21 @@ class TestEvalCommand:
         )
         assert rc == 0
         assert out_file.read_text() == capsys.readouterr().out
+        manifest = read_manifest(manifest_path(out_file))
+        gold = gold_file.read_text().splitlines()
+        vocabulary = load_model(model_file).vocabulary
+        assert manifest["gold.entities"] == str(len(gold))
+        assert manifest["gold.out_of_vocabulary"] == str(sum(line.split("\t")[0] not in vocabulary for line in gold))
+
+    def test_manifest_counts_out_of_vocabulary_gold_entities(self, trained, tmp_path):
+        _, _, model_file, gold_file, entities = trained
+        gold = tmp_path / "partly_oov.tsv"
+        gold.write_text(gold_file.read_text() + "http://ex/g1\ta\n")
+        rc = main(["eval", "--model", str(model_file), "--task", "classify", "--gold", str(gold), "--folds", "4"])
+        assert rc == 0
+        manifest = read_manifest(f"{model_file}.eval.manifest")
+        assert manifest["gold.entities"] == str(len(entities) + 1)
+        assert manifest["gold.out_of_vocabulary"] == "1"
 
 
 class TestServeCommand:

@@ -27,7 +27,7 @@ from kgembed.eval_harness import (
     walk_density,
 )
 from kgembed.trainer import EmbeddingModel, Vocabulary
-from kgembed.walker import Walk, WalkConfig, WalkCorpus, generate_light_walks, read_corpus, write_corpus
+from kgembed.walker import Walk, WalkConfig, WalkCorpus, generate_light_walks, read_corpus_tokens, write_corpus
 
 
 def make_model(tokens, vectors):
@@ -417,7 +417,8 @@ class TestWalkDensity:
         before = walk_density(corpus)
         path = tmp_path / "walks.txt"
         write_corpus(corpus, path)
-        reloaded = read_corpus(path, graph, entities=nodes_a + nodes_b)
+        walks = [Walk([graph.lookup(t) for t in tokens], 0) for tokens in read_corpus_tokens(path)]
+        reloaded = WalkCorpus(walks, [graph.lookup(e) for e in nodes_a + nodes_b], cfg)
         assert walk_density(reloaded) == before
 
     def test_self_loop_and_parallel_predicates(self):

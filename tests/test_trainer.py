@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import per_walk_examples as per_walk
 from fixtures import bidirectional_neighborhood, two_cluster_fixture
 from kgembed.trainer import (
     MODES,
     _MAX_ROW_UPDATE,
     _add_rows_clipped,
-    _cbow_groups,
-    _encode_sentences,
+    _corpus_ids,
+    _examples,
     _process_chunk,
     EmptyCorpusError,
     EmptyVocabularyError,
@@ -518,16 +519,81 @@ class TestCbowWindow:
     SENTENCES = [["a", "p", "b", "q", "c"], ["b", "q", "c"], ["d", "p", "a"], ["e"]]  # longest walk: 5 tokens
 
     def test_columns_bounded_by_longest_walk(self):
-        vocab = build_vocabulary(self.SENTENCES)
-        ctx, mask, centers = _cbow_groups(_encode_sentences(self.SENTENCES, vocab), 1000)
+        _, ids, walk = _corpus_ids(self.SENTENCES, 1)
+        ctx, mask, centers = _examples(ids, walk, 1000, "cbow")
         assert ctx.shape == mask.shape == (centers.shape[0], 2 * 4)
         assert mask.sum(axis=1).min() >= 1
 
     def test_window_past_longest_walk_changes_nothing(self):
-        narrow = train(self.SENTENCES, TrainConfig(mode="cbow", dimension=6, window=4, negatives=3, epochs=3, seed=5))
-        wide = train(self.SENTENCES, TrainConfig(mode="cbow", dimension=6, window=1000, negatives=3, epochs=3, seed=5))
-        assert np.array_equal(narrow.vectors, wide.vectors)
-        assert np.array_equal(narrow.context_vectors, wide.context_vectors)
+        for mode in MODES:
+            narrow, *wide = [
+                train(self.SENTENCES, TrainConfig(mode=mode, dimension=6, window=w, negatives=3, epochs=3, seed=5))
+                for w in (4, 1000, 10**9)
+            ]
+            for model in wide:
+                assert np.array_equal(narrow.vectors, model.vectors)
+                assert np.array_equal(narrow.context_vectors, model.context_vectors)
+
+
+# --------------------------------------------------------------------------
+# The flat pass against the per-walk helpers it replaced (per_walk_examples)
+# --------------------------------------------------------------------------
+
+
+def _assert_same_array(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+_WALK = st.lists(st.sampled_from("abcdefgh"), max_size=9)  # empty and one-token walks included
+
+
+class TestFlatPassAgainstPerWalkBuilders:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sentences=st.lists(_WALK, max_size=8),
+        min_count=st.integers(1, 3),
+        window=st.one_of(st.integers(1, 7), st.sampled_from([12, 10**9])),
+        mode=st.sampled_from(MODES),
+    )
+    @example(sentences=[], min_count=1, window=5, mode="sg")  # no walks
+    @example(sentences=[[], []], min_count=1, window=5, mode="cbow")  # walks without tokens
+    @example(sentences=[["a"], ["b"], ["a"]], min_count=1, window=5, mode="cbow")  # one-token walks only
+    @example(sentences=[["a", "x", "b", "a"], ["b", "a"]], min_count=2, window=2, mode="sg")  # x dropped mid-walk
+    @example(sentences=[["a", "x", "b", "a"], ["b", "a"]], min_count=2, window=2, mode="cbow")
+    @example(sentences=[["a", "b"], ["b", "x"]], min_count=3, window=5, mode="sg")  # every token dropped
+    @example(sentences=[["a", "b"], ["a", "x", "a", "b"]], min_count=3, window=10**9, mode="cbow")  # only "a" is kept
+    @example(sentences=[["a", "b"], ["a", "x", "a", "b"]], min_count=3, window=10**9, mode="sg")
+    def test_same_vocabulary_and_examples(self, sentences, min_count, window, mode):
+        try:
+            ref_vocab, ref_examples = per_walk.examples(sentences, min_count, window, mode)
+        except EmptyCorpusError:
+            with pytest.raises(EmptyCorpusError):
+                _corpus_ids(sentences, min_count)
+            with pytest.raises(EmptyCorpusError):
+                build_vocabulary(iter(sentences), min_count)
+            return
+        vocab, ids, walk = _corpus_ids(sentences, min_count)
+        assert vocab.tokens == ref_vocab.tokens
+        assert vocab.index == ref_vocab.index
+        _assert_same_array(vocab.counts, ref_vocab.counts)
+        _assert_same_array(vocab.sampling_probs, ref_vocab.sampling_probs)
+        assert build_vocabulary(iter(sentences), min_count).tokens == ref_vocab.tokens
+        if not len(vocab):
+            return  # train() stops here with EmptyVocabularyError
+        built = _examples(ids, walk, window, mode)
+        for actual, expected in zip(built, ref_examples):
+            _assert_same_array(actual, expected)
+        assert built[1].strides == ref_examples[1].strides  # the zero-stride skip-gram mask
+
+    def test_corpus_is_read_once(self):
+        sentences = [["a", "p", "b"], ["b", "q", "c", "p", "a"], ["c"]]
+        cfg = TrainConfig(dimension=4, window=2, negatives=2, epochs=2, seed=3)
+        once = train((list(s) for s in sentences), cfg)
+        listed = train(sentences, cfg)
+        assert once.vocabulary.tokens == listed.vocabulary.tokens
+        assert np.array_equal(once.vectors, listed.vectors)
 
 
 class TestModelFiles:

@@ -21,7 +21,6 @@ from kgembed.walker import (
     _light_walk,
     generate_classic_walks,
     generate_light_walks,
-    read_corpus,
     read_corpus_tokens,
     write_corpus,
 )
@@ -370,17 +369,8 @@ class TestCorpusFiles:
         g, corpus = self.make_corpus()
         path = tmp_path / "corpus.txt"
         write_corpus(corpus, path)
-        loaded = read_corpus(path, g, entities=[A, B, C], config=corpus.config)
-        assert [w.tokens for w in loaded.walks] == [w.tokens for w in corpus.walks]
-
-    def test_anchor_recovered_as_first_entity_occurrence(self, tmp_path):
-        g, corpus = self.make_corpus()
-        path = tmp_path / "corpus.txt"
-        write_corpus(corpus, path)
-        loaded = read_corpus(path, g, entities=[A, B, C])
-        entity_set = set(loaded.entities)
-        for walk in loaded.walks:
-            assert walk.tokens[walk.anchor] in entity_set
+        loaded = [[g.lookup(t) for t in tokens] for tokens in read_corpus_tokens(path)]
+        assert loaded == [w.tokens for w in corpus.walks]
 
     def test_gzip_round_trip(self, tmp_path):
         g, corpus = self.make_corpus()
