@@ -10,8 +10,8 @@ run on one thread, so ``walk`` accepts only ``--workers 1``.
 
 Exit codes: 0 success; 2 usage, including a flag out of range and a
 learning rate at which training diverges; 3 environment/IO, including a
-truncated or corrupt gzip stream; 4 data, including a text input that is not
-UTF-8.
+truncated or corrupt gzip stream and a table too large to allocate; 4 data,
+including a text input that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ _DATA_ERRORS = (
     UnicodeDecodeError,
 )
 
-# a truncated gzip stream raises EOFError and a corrupt one zlib.error
-_ENV_ERRORS = (OSError, EOFError, zlib.error)
+# truncated gzip: EOFError; corrupt gzip: zlib.error; a table too large to allocate: MemoryError
+_ENV_ERRORS = (OSError, EOFError, zlib.error, MemoryError)
 
 
 def _message(exc: BaseException) -> str:
@@ -146,6 +146,17 @@ def append_manifest(path: str | Path, entries: dict) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for key, value in entries.items():
             fh.write(f"{key}={value}\n")
+
+
+def _peak_memory() -> dict:
+    """``memory.peak_mb``, this process's resident high-water mark ``VmHWM``, where
+    ``/proc/self/status`` exists (not ``ru_maxrss``: a child inherits that at ``exec``)."""
+    try:
+        with open("/proc/self/status", encoding="utf-8", errors="replace") as fh:
+            kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return {}
+    return {"memory.peak_mb": f"{int(kb) / 1024:.1f}"}
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
@@ -373,6 +384,7 @@ def cmd_walk(args) -> int:
             "graph.edges": graph.num_edges,
             "timing.load_seconds": f"{load_seconds:.3f}",
             "timing.walk_seconds": f"{walk_seconds:.3f}",
+            **_peak_memory(),
         },
     )
     print(f"wrote {count} walks for {len(corpus.entities)} entities to {args.out} "
@@ -448,6 +460,7 @@ def cmd_train(args) -> int:
     entries["timing.read_seconds"] = f"{read_done - started:.3f}"
     entries["timing.train_seconds"] = f"{train_done - read_done:.3f}"
     entries["timing.save_seconds"] = f"{save_done - train_done:.3f}"
+    entries |= _peak_memory()
     append_manifest(manifest_path(args.out), entries)
     print(f"trained {len(model.vocabulary)} vectors of dimension {cfg.dimension} -> {args.out}")
     return EXIT_OK
@@ -553,6 +566,7 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         **inputs,
         "timing.eval_seconds": f"{time.perf_counter() - started:.3f}",
+        **_peak_memory(),
     }
     write_manifest(target, manifest)
     print(csv_text, end="")

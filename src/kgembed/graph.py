@@ -1,5 +1,4 @@
-"""In-memory knowledge graph: interned tokens, bidirectional adjacency, and a
-binary snapshot format.
+"""In-memory knowledge graph: interned tokens and bidirectional adjacency.
 
 The graph holds no Python object per edge. Each statement is one slot in
 three ``array('i')`` columns (subject, predicate and object ids) in insertion
@@ -16,18 +15,12 @@ dropped by the next change.
 
 from __future__ import annotations
 
-import struct
 from array import array
-from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .graph_io import Triple, is_literal_token
-
-SNAPSHOT_MAGIC = b"KGL1"
-_EDGE = struct.Struct("<III")
-_READ_CHUNK = 1 << 24
 
 
 class UnknownNodeError(KeyError):
@@ -38,10 +31,6 @@ class UnknownNodeError(KeyError):
 
 
 class GraphFrozenError(RuntimeError):
-    pass
-
-
-class SnapshotFormatError(ValueError):
     pass
 
 
@@ -180,10 +169,6 @@ class KnowledgeGraph:
         self._frozen = True
         return self
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def adjacency(self) -> Adjacency:
         """The CSR views, built on first read after the last change."""
         if self._adjacency is None:
@@ -209,9 +194,6 @@ class KnowledgeGraph:
     def resolve(self, i: int) -> str:
         self._check_id(i)
         return self._tokens[i]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def _check_id(self, i: int) -> None:
         if not 0 <= i < len(self._tokens):
@@ -273,55 +255,6 @@ class KnowledgeGraph:
         for s, p, o in self.triples():
             yield Triple(toks[s], toks[p], toks[o])
 
-    # -- snapshot ---------------------------------------------------------------
-
-    def save_snapshot(self, path: str | Path) -> None:
-        """Binary cache: magic ``KGL1``, |V|, |E|, interner table, edge list.
-        Loading reproduces identical ids."""
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(struct.pack("<III", self.num_nodes, self.num_edges, len(self._tokens)))
-            for token in self._tokens:
-                raw = token.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-            fh.write(bytes(self._node))
-            columns = [np.frombuffer(column, dtype=np.intc) for column in (self._s, self._p, self._o)]
-            fh.write(np.stack(columns, axis=1).astype("<u4").tobytes())
-
-    @classmethod
-    def load_snapshot(cls, path: str | Path) -> "KnowledgeGraph":
-        g = cls()
-        with open(path, "rb") as fh:
-            magic = _read_exact(fh, 4, "magic")
-            if magic != SNAPSHOT_MAGIC:
-                raise SnapshotFormatError(f"bad magic {magic!r}")
-            nodes, edges, tokens = struct.unpack("<III", _read_exact(fh, 12, "header"))
-            for _ in range(tokens):
-                (length,) = struct.unpack("<I", _read_exact(fh, 4, "token length"))
-                raw = _read_exact(fh, length, "token")
-                try:
-                    g.intern(raw.decode("utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise SnapshotFormatError(f"undecodable token: {exc}") from None
-            node_flags = _read_exact(fh, tokens, "node flags")
-            for s, p, o in _EDGE.iter_unpack(_read_exact(fh, _EDGE.size * edges, "edges")):
-                for i in (s, p, o):
-                    if i >= tokens:
-                        raise SnapshotFormatError(f"edge references token id {i} out of {tokens}")
-                if not g._add_edge_ids(s, p, o):
-                    raise SnapshotFormatError("duplicate edge in snapshot")
-            if fh.read(1):
-                raise SnapshotFormatError("trailing bytes after edge list")
-        for i, flag in enumerate(node_flags):
-            if flag:
-                g._node[i] = 1
-        if g.num_nodes != nodes or g.num_edges != edges:
-            raise SnapshotFormatError(
-                f"header claims |V|={nodes} |E|={edges}, rebuilt |V|={g.num_nodes} |E|={g.num_edges}"
-            )
-        return g.freeze()
-
 
 def _reject_literals(subject: str, predicate: str) -> None:
     if is_literal_token(subject):
@@ -329,15 +262,3 @@ def _reject_literals(subject: str, predicate: str) -> None:
     if is_literal_token(predicate):
         raise ValueError(f"literal token cannot be a predicate: {predicate!r}")
 
-
-def _read_exact(fh: IO[bytes], n: int, what: str) -> bytes:
-    # bounded reads: a corrupt count in the file must not make one read
-    # allocate more than the file holds
-    chunks = []
-    while n > 0:
-        chunk = fh.read(min(n, _READ_CHUNK))
-        if not chunk:
-            raise SnapshotFormatError(f"truncated snapshot while reading {what}")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)

@@ -83,10 +83,6 @@ def is_literal_token(token: str) -> bool:
     return token.startswith('"')
 
 
-def is_blank_token(token: str) -> bool:
-    return token.startswith("_:")
-
-
 # Corpus and model files hold one token per space-separated field, but
 # literal tokens may contain spaces; this tiny reversible escaping keeps the
 # file format splittable. '%' must be encoded first and decoded last.

@@ -258,9 +258,6 @@ class EmbeddingModel:
     def dimension(self) -> int:
         return int(self.vectors.shape[1])
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocabulary
-
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self.vocabulary.index_of(token)]
 

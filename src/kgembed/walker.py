@@ -78,9 +78,6 @@ class WalkCorpus:
     missing_entities: list[str] = field(default_factory=list)
     adjacency_lookups: int = 0
 
-    def __len__(self) -> int:
-        return len(self.walks)
-
     def sentences(self) -> list[list[str]]:
         """Walks resolved to token strings, ready for training."""
         if self.graph is None:

@@ -1,5 +1,7 @@
 import gzip
+import resource
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,31 @@ def run_walk(tmp_path, graph_file, entities_file, out_name="corpus.txt", extra=(
         ]
     )
     return rc, out
+
+
+def assert_peak_memory(manifest):
+    """A command records this process's VmHWM in MB, which can only have
+    grown since; without ``/proc/self/status`` it records nothing."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        assert "memory.peak_mb" not in manifest
+        return
+    kb = next(line.split()[1] for line in status.read_text().splitlines() if line.startswith("VmHWM:"))
+    assert 0 < float(manifest["memory.peak_mb"]) <= int(kb) / 1024 + 0.05
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Cap this process's address space at 64 GiB for one test, so that an
+    allocation far past it is refused before any memory is touched, whatever
+    the host's overcommit policy."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = min(limit for limit in (soft, hard, 64 << 30) if limit != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestDefaults:
@@ -136,6 +163,7 @@ class TestWalkCommand:
         lengths = [len(line.split(" ")) for line in lines]
         assert manifest["walk_tokens"] == str(sum(lengths))
         assert manifest["dead_ends"] == str(sum(n < 2 * 3 + 1 for n in lengths))  # --depth 3
+        assert_peak_memory(manifest)
 
     def test_walk_determinism_byte_identical(self, workspace):
         import gzip
@@ -217,6 +245,7 @@ class TestTrainCommand:
         assert manifest["epoch.2.loss"] == manifest["final_loss"]
         for phase in ("read", "train", "save"):
             assert float(manifest[f"timing.{phase}_seconds"]) >= 0
+        assert_peak_memory(manifest)
 
     def test_diverging_learning_rate_exit_2(self, workspace, capsys):
         tmp_path, graph_file, entities_file, _, _ = workspace
@@ -227,6 +256,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "error: non-finite loss" in err
         assert "Traceback" not in err
+
+    # 10^11 floats: the input table (--dim) or the first chunk's negative
+    # draws (--negatives) need hundreds of GiB, past the cap
+    @pytest.mark.parametrize("flag", ["--dim", "--negatives"])
+    def test_allocation_refused_exit_3(self, tmp_path, capsys, address_space_cap, flag):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\nb c a\n")
+        rc = main(["train", "--corpus", str(corpus), flag, "100000000000", "--epochs", "1",
+                   "--out", str(tmp_path / "m.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_min_count_filtering_everything_exit_4(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -394,6 +434,7 @@ class TestEvalCommand:
         vocabulary = load_model(model_file).vocabulary
         assert manifest["gold.entities"] == str(len(gold))
         assert manifest["gold.out_of_vocabulary"] == str(sum(line.split("\t")[0] not in vocabulary for line in gold))
+        assert_peak_memory(manifest)
 
     def test_manifest_counts_out_of_vocabulary_gold_entities(self, trained, tmp_path):
         _, _, model_file, gold_file, entities = trained

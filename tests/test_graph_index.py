@@ -1,12 +1,10 @@
-import struct
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import build_graph, random_graph
 from tuple_list_graph import TupleListGraph
-from kgembed.graph import GraphFrozenError, KnowledgeGraph, SnapshotFormatError, UnknownNodeError
+from kgembed.graph import GraphFrozenError, KnowledgeGraph, UnknownNodeError
 from kgembed.graph_io import Triple
 
 
@@ -192,86 +190,6 @@ class TestLifecycle:
         assert [g.resolve(i) for i in g.subject_ids()] == [A, B]
 
 
-class TestSnapshot:
-    def test_round_trip_identical_ids(self, tmp_path):
-        g = random_graph(seed=3, n_nodes=20, n_edges=50)
-        path = tmp_path / "graph.kgl"
-        g.save_snapshot(path)
-        loaded = KnowledgeGraph.load_snapshot(path)
-        assert loaded.num_nodes == g.num_nodes
-        assert loaded.num_edges == g.num_edges
-        assert [loaded.resolve(i) for i in range(loaded.num_tokens)] == [
-            g.resolve(i) for i in range(g.num_tokens)
-        ]
-        for v in range(g.num_tokens):
-            assert loaded.out_edges(v) == g.out_edges(v)
-            assert loaded.in_edges(v) == g.in_edges(v)
-
-    def test_snapshot_keeps_isolated_nodes(self, tmp_path):
-        g = build_graph([(A, P, B)], extra_nodes=["http://ex/lonely"])
-        path = tmp_path / "graph.kgl"
-        g.save_snapshot(path)
-        loaded = KnowledgeGraph.load_snapshot(path)
-        assert loaded.is_node(loaded.lookup("http://ex/lonely"))
-        assert loaded.num_nodes == 3
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.kgl"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(SnapshotFormatError):
-            KnowledgeGraph.load_snapshot(path)
-
-    def test_truncated_file(self, tmp_path):
-        g = build_graph([(A, P, B)])
-        path = tmp_path / "graph.kgl"
-        g.save_snapshot(path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])
-        with pytest.raises(SnapshotFormatError):
-            KnowledgeGraph.load_snapshot(path)
-
-    def _edge_patched(self, tmp_path, triples, edge_bytes):
-        """A valid snapshot of ``triples`` whose edge list is replaced."""
-        path = tmp_path / "graph.kgl"
-        build_graph(triples).save_snapshot(path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - len(edge_bytes)] + edge_bytes)
-        return path
-
-    def test_out_of_range_token_id(self, tmp_path):
-        path = self._edge_patched(tmp_path, [(A, P, B)], struct.pack("<III", 0, 1, 3))
-        with pytest.raises(SnapshotFormatError, match="token id 3 out of 3"):
-            KnowledgeGraph.load_snapshot(path)
-
-    def test_duplicate_edge(self, tmp_path):
-        path = self._edge_patched(tmp_path, [(A, P, B), (A, P, C)], struct.pack("<6I", 0, 1, 2, 0, 1, 2))
-        with pytest.raises(SnapshotFormatError, match="duplicate edge"):
-            KnowledgeGraph.load_snapshot(path)
-
-    @pytest.mark.parametrize(
-        "offset, value, message",
-        [
-            (8, 0xFFFFFFFF, "truncated snapshot while reading edges"),  # |E| beyond the file
-            (4, 3, "header claims"),  # |V| one too many
-        ],
-    )
-    def test_header_count_mismatch(self, tmp_path, offset, value, message):
-        path = tmp_path / "graph.kgl"
-        build_graph([(A, P, B)]).save_snapshot(path)
-        data = bytearray(path.read_bytes())
-        data[offset : offset + 4] = struct.pack("<I", value)
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotFormatError, match=message):
-            KnowledgeGraph.load_snapshot(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "graph.kgl"
-        build_graph([(A, P, B)]).save_snapshot(path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(SnapshotFormatError, match="trailing bytes"):
-            KnowledgeGraph.load_snapshot(path)
-
-
 def _observe(g):
     """Everything the public interface tells about a graph, per id."""
     n = g.num_tokens
@@ -313,12 +231,11 @@ _STEP = st.one_of(
 class TestAgainstTupleListGraph:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_STEP, max_size=8))
-    def test_same_graph_before_and_after_freeze(self, tmp_path_factory, steps):
+    def test_same_graph_before_and_after_freeze(self, steps):
         """The flat-array graph against the tuple-list one it replaced: the
         same results and errors per step, and the same ids, flags, counts,
         rows and triples after every step (each read builds the CSR views
-        that the next step drops), after ``freeze`` and after a snapshot
-        round trip, whose bytes are equal too."""
+        that the next step drops) and after ``freeze``."""
         g, ref = KnowledgeGraph(), TupleListGraph()
         for step in steps:
             assert _apply(g, step) == _apply(ref, step)
@@ -330,8 +247,3 @@ class TestAgainstTupleListGraph:
         for graph in (g, ref):
             with pytest.raises(GraphFrozenError):
                 graph.add_triple(A, P, "http://ex/new")
-        folder = tmp_path_factory.mktemp("snapshots")
-        g.save_snapshot(folder / "flat.kgl")
-        ref.save_snapshot(folder / "tuples.kgl")
-        assert (folder / "flat.kgl").read_bytes() == (folder / "tuples.kgl").read_bytes()
-        assert _observe(KnowledgeGraph.load_snapshot(folder / "flat.kgl")) == _observe(ref)

@@ -5,12 +5,8 @@ token and a set of ``(s, p, o)`` tuples. A test oracle for
 
 from __future__ import annotations
 
-import struct
-
-from kgembed.graph import SNAPSHOT_MAGIC, GraphFrozenError, UnknownNodeError
+from kgembed.graph import GraphFrozenError, UnknownNodeError
 from kgembed.graph_io import is_literal_token
-
-_EDGE = struct.Struct("<III")
 
 
 class TupleListGraph:
@@ -138,17 +134,6 @@ class TupleListGraph:
 
     def triples(self):
         return iter(self._triples)
-
-    def save_snapshot(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(struct.pack("<III", self._node_count, len(self._triples), len(self._tokens)))
-            for token in self._tokens:
-                raw = token.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-            fh.write(bytes(self._node))
-            fh.write(b"".join(_EDGE.pack(*edge) for edge in self._triples))
 
 
 def _reject_literals(subject: str, predicate: str) -> None:
