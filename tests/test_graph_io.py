@@ -471,6 +471,61 @@ class TestTurtleSubset:
         assert set(from_ttl) == set(from_nt)
 
 
+_EX = "@prefix ex: <http://ex/> .\n"
+
+# one document per error the Turtle parser raises: its class, its message and
+# the line the cursor was on
+TURTLE_ERRORS = [
+    ("@base <http://ex/> .", UnsupportedConstructError, "unsupported-construct: @base directive", 1),
+    ("@prefixx ex: <http://ex/> .", ParseError, "unknown directive @prefixx", 1),
+    ("@prefix ex <http://ex/> .", ParseError, "expected prefix name ending in ':'", 1),
+    ("@prefix ex: ex:a .", ParseError, "expected IRI in @prefix", 1),
+    ("@prefix ex: <http://ex/\n", ParseError, "character '\\n' not allowed in IRI", 1),
+    ("@prefix ex: <http://ex/> ex:a ex:p ex:b .", ParseError, "expected '.' after @prefix", 1),
+    (_EX + "ex:a ex:p ex:b ,\n", ParseError, "unexpected end of input", 3),
+    (_EX + "ex:a ex:p [ ex:q ex:b ] .", UnsupportedConstructError, "unsupported-construct: blank-node property list", 2),
+    (_EX + "ex:a ex:p (ex:b) .", UnsupportedConstructError, "unsupported-construct: collection", 2),
+    (_EX + "ex:a ex:p 'b' .", UnsupportedConstructError, "unsupported-construct: single-quoted literal", 2),
+    (_EX + 'ex:a ex:p """b""" .', UnsupportedConstructError, "unsupported-construct: triple-quoted literal", 2),
+    (_EX + "ex:a ex:p <http://ex/b", ParseError, "unterminated IRI", 2),
+    (_EX + "ex:a ex:p <http://ex/\\u00zz> .", ParseError, "invalid \\u escape '00zz'", 2),
+    (_EX + "ex:a ex:p <http://ex/\\U0001F6", ParseError, "truncated \\U escape", 2),
+    (_EX + "ex:a ex:p <http://ex/\\uD800> .", ParseError, "escape \\uD800 is not a valid code point", 2),
+    (_EX + "ex:a ex:p <http://ex/\\n> .", ParseError, "only \\u and \\U escapes are allowed in IRIs", 2),
+    (_EX + "ex:a ex:p <http://ex/a b> .", ParseError, "character ' ' not allowed in IRI", 2),
+    (_EX + "ex:a ex:p <> .", ParseError, "empty IRI", 2),
+    (_EX + "ex:a ex:p _:.x .", ParseError, "invalid blank node label", 2),
+    (_EX + "ex:a ex:p _x .", ParseError, "expected blank node label", 2),
+    (_EX + '"s" ex:p ex:b .', ParseError, "literal not allowed here", 2),
+    (_EX + "ex:a ex:p ?b .", ParseError, "expected term, found '?'", 2),
+    (_EX + "a ex:p ex:b .", ParseError, "'a' is only valid in the predicate position", 2),
+    (_EX + "ex:a ex:p b .", ParseError, "expected prefixed name, found 'b'", 2),
+    (_EX + "ex:a ex:p no:b .", ParseError, "undefined prefix 'no:'", 2),
+    (_EX + '# note\nex:a ex:p "open\nline\n', ParseError, "unterminated literal", 5),
+    (_EX + 'ex:a ex:p "bad \\x" .', ParseError, "unknown escape \\x", 2),
+    (_EX + 'ex:a ex:p "dangling \\', ParseError, "dangling escape at end of literal", 2),
+    (_EX + 'ex:a ex:p "b"@ .', ParseError, "empty language tag", 2),
+    (_EX + 'ex:a ex:p "b"^^<http://ex/\\u00zz> .', ParseError, "invalid \\u escape '00zz'", 2),
+    (_EX + 'ex:a ex:p "b"^^ .', ParseError, "datatype must be an IRI or prefixed name", 2),
+    (_EX + 'ex:a ex:p "b"^^no:t .', ParseError, "undefined prefix 'no:'", 2),
+    (_EX + "ex:a\n  ex:p ex:b ;\n  ex:q ex:c\n  ex:r ex:d .", ParseError, "expected ',', ';' or '.'", 5),
+]
+
+
+class TestTurtleErrors:
+    @pytest.mark.parametrize("doc, cls, message, line", TURTLE_ERRORS)
+    def test_error_table(self, doc, cls, message, line):
+        with pytest.raises(ParseError) as err:
+            list(parse_turtle_subset(doc.encode("utf-8")))
+        assert (type(err.value), str(err.value), err.value.line) == (cls, f"line {line}: {message}", line)
+
+    def test_invalid_utf8_has_no_line(self):
+        with pytest.raises(ParseError) as err:
+            list(parse_turtle_subset(b"@prefix ex: <http://ex/> .\n\xff"))
+        assert type(err.value) is ParseError and err.value.line is None
+        assert str(err.value).startswith("invalid UTF-8: ")
+
+
 class TestLoadGraph:
     def test_strict_parse_error_names_the_file(self, tmp_path):
         path = tmp_path / "bad.nt"
