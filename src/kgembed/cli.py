@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import math
 import signal
 import sys
 import time
@@ -200,8 +201,8 @@ def nonnegative_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
 
 
@@ -221,8 +222,8 @@ def port_number(text: str) -> int:
 
 def nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return value
 
 

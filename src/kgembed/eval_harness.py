@@ -41,7 +41,8 @@ class FoldError(EvalError):
 
 
 class RankDeficientError(EvalError):
-    """Singular design matrix with a zero ridge penalty."""
+    """Singular normal equations: a rank-deficient design matrix with a zero
+    or negligible ridge penalty."""
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +183,11 @@ def ridge_fit(x: np.ndarray, y: np.ndarray, ridge: float):
         raise RankDeficientError("design matrix is rank deficient; use a non-zero ridge penalty")
     y_mean = float(y.mean())
     gram = z.T @ z + ridge * np.eye(z.shape[1])
-    beta = np.linalg.solve(gram, z.T @ (y - y_mean))
+    try:
+        beta = np.linalg.solve(gram, z.T @ (y - y_mean))
+    except np.linalg.LinAlgError:
+        message = f"design matrix is rank deficient at ridge {ridge!r}; use a larger ridge penalty"
+        raise RankDeficientError(message) from None
     return beta, mu, sd, y_mean
 
 

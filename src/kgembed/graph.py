@@ -117,13 +117,7 @@ class KnowledgeGraph:
 
     def add_triple(self, subject: str, predicate: str, object: str) -> bool:
         """Insert one statement; returns False if it was already present."""
-        if self._frozen:
-            raise GraphFrozenError("graph is frozen; no triples can be added")
-        _reject_literals(subject, predicate)
-        s = self.intern(subject)
-        p = self.intern(predicate)
-        o = self.intern(object)
-        return self._add_edge_ids(s, p, o)
+        return self.add_all((Triple(subject, predicate, object),)) == 1
 
     def _add_edge_ids(self, s: int, p: int, o: int) -> bool:
         seen = self._seen
@@ -141,13 +135,13 @@ class KnowledgeGraph:
         return True
 
     def add(self, triple: Triple) -> bool:
-        return self.add_triple(triple.subject, triple.predicate, triple.object)
+        return self.add_all((triple,)) == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert every statement in order, as :meth:`add` would; returns the
-        number that were new. A term already interned costs one dictionary
-        lookup; ``intern`` runs only for unseen terms, in the order ``add``
-        would intern them."""
+        """Insert every statement in order; returns the number that were new.
+        Subject, predicate and object are interned in that order. A term
+        already interned costs one dictionary lookup; ``intern`` runs only for
+        unseen terms."""
         if self._frozen:
             raise GraphFrozenError("graph is frozen; no triples can be added")
         get, intern, add_edge = self._index.get, self.intern, self._add_edge_ids

@@ -1,10 +1,12 @@
 """RDF input and output.
 
-Two serializations are supported: line-based N-Triples (strict or lenient),
-and a pragmatic Turtle subset covering ``@prefix`` declarations, prefixed
-names, IRIs, quoted literals, predicate lists (``;``), object lists (``,``)
-and the ``a`` shorthand. Files ending in ``.gz`` are read and written through
-gzip transparently.
+Two serializations are supported, each with one parse policy. N-Triples is
+read line by line, and a malformed line is recorded in
+``ParseReport.errors`` and skipped. A pragmatic Turtle subset covers
+``@prefix`` declarations, prefixed names, IRIs, quoted literals, predicate
+lists (``;``), object lists (``,``) and the ``a`` shorthand; it cannot resume
+inside a statement, so its first error is raised. Files ending in ``.gz`` are
+read and written through gzip transparently.
 
 N-Triples lines of the common shape take a fast path: one regular
 expression match per line. It accepts an IRI subject, an IRI predicate and
@@ -124,6 +126,10 @@ class _Bad(Exception):
     """Internal: syntax violation inside one term or statement."""
 
 
+class _Unsupported(_Bad):
+    """Internal: Turtle feature outside the supported subset."""
+
+
 class _Scan:
     """Character cursor shared by the N-Triples and Turtle parsers."""
 
@@ -241,17 +247,23 @@ class _Scan:
         return tag
 
 
-def _nt_literal(sc: _Scan) -> str:
-    lexical = sc.literal_body()
-    suffix = ""
+def _literal_suffix(sc: _Scan) -> str:
+    """The ``@lang`` or ``^^<datatype>`` after a literal's closing quote, or
+    ``""``; a ``^^`` without ``<`` is left to the caller."""
     if sc.peek() == "@":
         sc.pos += 1
-        suffix = "@" + sc.langtag()
-    elif sc.text[sc.pos : sc.pos + 2] == "^^":
+        return "@" + sc.langtag()
+    if sc.text.startswith("^^<", sc.pos):
         sc.pos += 2
-        if sc.peek() != "<":
-            raise _Bad("datatype must be an IRI")
-        suffix = "^^<%s>" % sc.iriref()
+        return "^^<%s>" % sc.iriref()
+    return ""
+
+
+def _nt_literal(sc: _Scan) -> str:
+    lexical = sc.literal_body()
+    suffix = _literal_suffix(sc)
+    if not suffix and sc.text.startswith("^^", sc.pos):
+        raise _Bad("datatype must be an IRI")
     return literal_token(lexical, suffix)
 
 
@@ -367,30 +379,26 @@ def _decoded_lines(chunk: bytes) -> Iterator[str | UnicodeDecodeError]:
 def parse_ntriples(
     source: bytes | str | IO[bytes],
     *,
-    lenient: bool = True,
     report: ParseReport | None = None,
     bnode_scope: str = "",
 ) -> Iterator[Triple]:
     """Parse N-Triples from a byte stream, yielding triples in input order.
 
     Comment lines (leading ``#``) and blank lines are skipped and counted.
-    In lenient mode malformed lines (including invalid UTF-8) are recorded in
-    ``report.errors`` and skipped; in strict mode the first malformed line
-    raises :class:`ParseError` with its line number. Pass a
-    :class:`ParseReport` to observe counts; it is updated as the iterator is
-    consumed.
+    A malformed line, including one that is not UTF-8, is recorded in
+    ``report.errors`` with its line number and skipped; no line raises. Pass
+    a :class:`ParseReport` to observe counts; it is updated as the iterator
+    is consumed.
     """
     if report is None:
         report = ParseReport()
-    return _ntriples_iter(_as_byte_stream(source), lenient, report, bnode_scope)
+    return _ntriples_iter(_as_byte_stream(source), report, bnode_scope)
 
 
-def _ntriples_iter(stream, lenient, report, scope) -> Iterator[Triple]:
+def _ntriples_iter(stream, report, scope) -> Iterator[Triple]:
     fast_match = _FAST_LINE.fullmatch
     for lineno, text in enumerate(_text_lines(stream), start=1):
         if isinstance(text, UnicodeDecodeError):
-            if not lenient:
-                raise ParseError(f"invalid UTF-8: {text}", lineno) from None
             report.errors.append((lineno, f"invalid UTF-8: {text}"))
             continue
         m = fast_match(text)
@@ -408,8 +416,6 @@ def _ntriples_iter(stream, lenient, report, scope) -> Iterator[Triple]:
         try:
             triple = _parse_nt_statement(sc, scope)
         except _Bad as exc:
-            if not lenient:
-                raise ParseError(f"{exc}: {text.rstrip()!r}", lineno) from None
             report.errors.append((lineno, str(exc)))
             continue
         report.triples_emitted += 1
@@ -430,22 +436,15 @@ class _TurtleParser:
     prefixed datatypes), blank node labels, quoted literals with language
     tags or datatypes, 'a', ';' predicate lists, ',' object lists, comments.
     Blank-node property lists '[...]', collections '(...)', @base, and
-    quote variants beyond plain '"' raise UnsupportedConstructError.
+    quote variants beyond plain '"' raise ``_Unsupported``, other errors
+    ``_Bad``; :meth:`statements` turns either into the public error, with
+    the line the cursor stopped on.
     """
 
     def __init__(self, text: str, scope: str):
         self.sc = _Scan(text)
         self.scope = scope
         self.prefixes: dict[str, str] = {}
-
-    def _line(self) -> int:
-        return self.sc.text.count("\n", 0, self.sc.pos) + 1
-
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._line())
-
-    def _unsupported(self, what: str) -> UnsupportedConstructError:
-        return UnsupportedConstructError(f"unsupported-construct: {what}", self._line())
 
     def _skip_trivia(self) -> None:
         t, n = self.sc.text, len(self.sc.text)
@@ -460,14 +459,20 @@ class _TurtleParser:
                 return
 
     def statements(self) -> Iterator[Triple]:
-        while True:
-            self._skip_trivia()
-            if self.sc.done():
-                return
-            if self.sc.peek() == "@":
-                self._directive()
-            else:
-                yield from self._triples()
+        try:
+            while True:
+                self._skip_trivia()
+                if self.sc.done():
+                    return
+                if self.sc.peek() == "@":
+                    self._directive()
+                else:
+                    yield from self._triples()
+        except _Bad as exc:
+            line = self.sc.text.count("\n", 0, self.sc.pos) + 1
+            if isinstance(exc, _Unsupported):
+                raise UnsupportedConstructError(f"unsupported-construct: {exc}", line) from None
+            raise ParseError(str(exc), line) from None
 
     def _directive(self) -> None:
         t = self.sc.text
@@ -477,21 +482,18 @@ class _TurtleParser:
             self.sc.pos += 1
         word = t[start : self.sc.pos]
         if word == "base":
-            raise self._unsupported("@base directive")
+            raise _Unsupported("@base directive")
         if word != "prefix":
-            raise self._error(f"unknown directive @{word}")
+            raise _Bad(f"unknown directive @{word}")
         self._skip_trivia()
         name = self._pname_ns()
         self._skip_trivia()
         if self.sc.peek() != "<":
-            raise self._error("expected IRI in @prefix")
-        try:
-            iri = self.sc.iriref()
-        except _Bad as exc:
-            raise self._error(str(exc)) from None
+            raise _Bad("expected IRI in @prefix")
+        iri = self.sc.iriref()
         self._skip_trivia()
         if self.sc.peek() != ".":
-            raise self._error("expected '.' after @prefix")
+            raise _Bad("expected '.' after @prefix")
         self.sc.pos += 1
         self.prefixes[name] = iri
 
@@ -502,7 +504,7 @@ class _TurtleParser:
             self.sc.pos += 1
         name = t[start : self.sc.pos]
         if self.sc.peek() != ":":
-            raise self._error("expected prefix name ending in ':'")
+            raise _Bad("expected prefix name ending in ':'")
         self.sc.pos += 1
         return name
 
@@ -523,70 +525,49 @@ class _TurtleParser:
         try:
             return self.prefixes[ns] + local
         except KeyError:
-            raise self._error(f"undefined prefix {ns + ':'!r}") from None
+            raise _Bad(f"undefined prefix {ns + ':'!r}") from None
 
     def _term(self, *, as_verb: bool = False, allow_literal: bool = False) -> str:
         self._skip_trivia()
         ch = self.sc.peek()
         if ch == "":
-            raise self._error("unexpected end of input")
+            raise _Bad("unexpected end of input")
         if ch == "[":
-            raise self._unsupported("blank-node property list")
+            raise _Unsupported("blank-node property list")
         if ch == "(":
-            raise self._unsupported("collection")
+            raise _Unsupported("collection")
         if ch in "'":
-            raise self._unsupported("single-quoted literal")
+            raise _Unsupported("single-quoted literal")
         if ch == "<":
-            try:
-                return self.sc.iriref()
-            except _Bad as exc:
-                raise self._error(str(exc)) from None
+            return self.sc.iriref()
         if ch == "_":
-            try:
-                return self.sc.blank(self.scope)
-            except _Bad as exc:
-                raise self._error(str(exc)) from None
+            return self.sc.blank(self.scope)
         if ch == '"':
             if not allow_literal:
-                raise self._error("literal not allowed here")
+                raise _Bad("literal not allowed here")
             if self.sc.text[self.sc.pos : self.sc.pos + 3] == '"""':
-                raise self._unsupported("triple-quoted literal")
+                raise _Unsupported("triple-quoted literal")
             return self._literal()
         word = self._word()
         if not word:
-            raise self._error(f"expected term, found {ch!r}")
+            raise _Bad(f"expected term, found {ch!r}")
         if word == "a":
             if as_verb:
                 return RDF_TYPE
-            raise self._error("'a' is only valid in the predicate position")
+            raise _Bad("'a' is only valid in the predicate position")
         if ":" not in word:
-            raise self._error(f"expected prefixed name, found {word!r}")
+            raise _Bad(f"expected prefixed name, found {word!r}")
         return self._expand(word)
 
     def _literal(self) -> str:
-        try:
-            lexical = self.sc.literal_body()
-        except _Bad as exc:
-            raise self._error(str(exc)) from None
-        suffix = ""
-        if self.sc.peek() == "@":
-            self.sc.pos += 1
-            try:
-                suffix = "@" + self.sc.langtag()
-            except _Bad as exc:
-                raise self._error(str(exc)) from None
-        elif self.sc.text[self.sc.pos : self.sc.pos + 2] == "^^":
+        lexical = self.sc.literal_body()
+        suffix = _literal_suffix(self.sc)
+        if not suffix and self.sc.text.startswith("^^", self.sc.pos):
             self.sc.pos += 2
-            if self.sc.peek() == "<":
-                try:
-                    suffix = "^^<%s>" % self.sc.iriref()
-                except _Bad as exc:
-                    raise self._error(str(exc)) from None
-            else:
-                word = self._word()
-                if ":" not in word:
-                    raise self._error("datatype must be an IRI or prefixed name")
-                suffix = "^^<%s>" % self._expand(word)
+            word = self._word()
+            if ":" not in word:
+                raise _Bad("datatype must be an IRI or prefixed name")
+            suffix = "^^<%s>" % self._expand(word)
         return literal_token(lexical, suffix)
 
     def _triples(self) -> Iterator[Triple]:
@@ -614,7 +595,7 @@ class _TurtleParser:
             if ch == ".":
                 self.sc.pos += 1
                 return
-            raise self._error("expected ',', ';' or '.'")
+            raise _Bad("expected ',', ';' or '.'")
 
 
 def parse_turtle_subset(
@@ -650,15 +631,6 @@ def _turtle_iter(text: str, report: ParseReport, scope: str) -> Iterator[Triple]
 # --------------------------------------------------------------------------
 # Files and graphs
 # --------------------------------------------------------------------------
-
-_FORMAT_ALIASES = {
-    "ntriples": "ntriples",
-    "nt": "ntriples",
-    "turtle-subset": "turtle-subset",
-    "turtle": "turtle-subset",
-    "ttl": "turtle-subset",
-}
-
 
 def detect_format(path: str | Path) -> str:
     """Infer the RDF format from a file extension (`.nt` or `.ttl`, `.gz` aware)."""
@@ -716,17 +688,17 @@ def open_text_write(path: str | Path) -> IO[str]:
 def load_graph(
     sources: Iterable[tuple[str | Path, str]],
     *,
-    lenient: bool = True,
     report: ParseReport | None = None,
 ):
     """Parse every (path, format) source and return the union as a frozen
     :class:`~kgembed.graph.KnowledgeGraph`; duplicate triples are stored once.
 
-    Formats: ``ntriples`` and ``turtle-subset`` (aliases ``nt``, ``ttl``,
-    ``turtle``). Blank nodes receive a per-file scope. Lenient N-Triples
-    errors are logged as warnings; strict mode propagates them. Pass a
-    :class:`ParseReport` to observe the parse: it adds up over all sources,
-    so its error line numbers are per file.
+    Formats are the names :func:`detect_format` returns: ``ntriples`` and
+    ``turtle-subset``. Blank nodes receive a per-file scope. A malformed
+    N-Triples line is skipped and logged as a warning; a Turtle error is
+    raised, with the file noted on it. Pass a :class:`ParseReport` to observe
+    the parse: it adds up over all sources, so its error line numbers are per
+    file.
     """
     from .graph import KnowledgeGraph
 
@@ -734,14 +706,13 @@ def load_graph(
         report = ParseReport()
     g = KnowledgeGraph()
     for i, (path, fmt) in enumerate(sources):
-        canonical = _FORMAT_ALIASES.get(fmt)
-        if canonical is None:
-            raise ValueError(f"unknown RDF format {fmt!r}; expected one of {sorted(set(_FORMAT_ALIASES.values()))}")
+        if fmt not in ("ntriples", "turtle-subset"):
+            raise ValueError(f"unknown RDF format {fmt!r}; expected one of ['ntriples', 'turtle-subset']")
         scope = f"f{i}"
         first_error = len(report.errors)
         with reading(path), open_bytes_read(path) as fh:
-            if canonical == "ntriples":
-                triples = parse_ntriples(fh, lenient=lenient, report=report, bnode_scope=scope)
+            if fmt == "ntriples":
+                triples = parse_ntriples(fh, report=report, bnode_scope=scope)
             else:
                 triples = parse_turtle_subset(fh, report=report, bnode_scope=scope)
             g.add_all(triples)

@@ -1,13 +1,15 @@
 import gzip
+import itertools
 import resource
 import socket
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fixtures import two_cluster_fixture
 from kgembed.cli import build_parser, main, manifest_path, read_manifest
-from kgembed.graph_io import load_graph, write_ntriples
+from kgembed.graph_io import Triple, load_graph, write_ntriples
 from kgembed.trainer import NEGATIVE_GROUP, load_model
 
 
@@ -42,6 +44,32 @@ def run_walk(tmp_path, graph_file, entities_file, out_name="corpus.txt", extra=(
         ]
     )
     return rc, out
+
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+
+
+def _turtle(triples) -> str:
+    """A Turtle document for ``triples`` that keeps their order: prefixed
+    names, a ';' list for each run of one subject, a ',' list for each run
+    of one predicate."""
+
+    def term(token: str) -> str:
+        if token.startswith('"'):
+            body, typed, datatype = token.rpartition("^^<")
+            return f"{body}^^xsd:{datatype[len(XSD):-1]}" if typed and datatype.startswith(XSD) else token
+        if token.startswith("http://ex/"):
+            return "ex:" + token[len("http://ex/") :]
+        return f"<{token}>"
+
+    lines = ["@prefix ex: <http://ex/> .", f"@prefix xsd: <{XSD}> ."]
+    for subject, run in itertools.groupby(triples, key=lambda t: t.subject):
+        lists = [
+            f"{term(p)} " + " , ".join(term(t.object) for t in objects)
+            for p, objects in itertools.groupby(run, key=lambda t: t.predicate)
+        ]
+        lines.append(f"{term(subject)}\n    " + " ;\n    ".join(lists) + " .")
+    return "\n".join(lines) + "\n"
 
 
 def assert_peak_memory(manifest):
@@ -105,6 +133,12 @@ class TestDefaults:
             ["eval", "--model", "m", "--task", "classify", "--folds", "1"],
             ["serve", "--model", "m", "--port", "70000"],
             ["serve", "--model", "m", "--port", "-1"],
+            # non-finite floats, refused while the arguments are parsed, so
+            # before any command runs or writes a file
+            ["eval", "--model", "m", "--task", "regress", "--gold", "g", "--ridge", "nan"],
+            ["eval", "--model", "m", "--task", "regress", "--gold", "g", "--ridge", "inf"],
+            ["train", "--corpus", "c", "--learning-rate", "inf"],
+            ["train", "--corpus", "c", "--learning-rate", "nan"],
         ],
     )
     def test_out_of_range_flags_exit_2(self, argv, capsys):
@@ -156,7 +190,7 @@ class TestWalkCommand:
         assert manifest["parse.lines_skipped"] == "2"
         assert manifest["parse.errors"] == "1"
         assert manifest["parse.general_lines"] == "2"
-        graph = load_graph([(graph_file, "nt")])
+        graph = load_graph([(graph_file, "ntriples")])
         assert manifest["graph.tokens"] == str(graph.num_tokens)
         assert manifest["graph.nodes"] == str(graph.num_nodes)
         assert manifest["graph.edges"] == str(graph.num_edges) == str(len(triples) + 1)
@@ -164,6 +198,31 @@ class TestWalkCommand:
         assert manifest["walk_tokens"] == str(sum(lengths))
         assert manifest["dead_ends"] == str(sum(n < 2 * 3 + 1 for n in lengths))  # --depth 3
         assert_peak_memory(manifest)
+
+    def test_turtle_graph_writes_same_corpus_as_ntriples(self, workspace):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        triples = list(load_graph([(graph_file, "ntriples")]).resolved_triples())
+        triples += [
+            Triple("http://ex/a0", "http://ex/label", '"a \\"zero\\""@en'),
+            Triple("http://ex/a0", "http://ex/size", f'"4"^^<{XSD}integer>'),
+        ]
+        write_ntriples(triples, graph_file)
+        ttl_file = tmp_path / "graph.ttl"
+        ttl_file.write_text(_turtle(triples), encoding="utf-8")
+        literals = ("--include-literals",)
+        _, from_nt = run_walk(tmp_path, graph_file, entities_file, "nt.txt", extra=literals)
+        _, from_ttl = run_walk(tmp_path, ttl_file, entities_file, "ttl.txt", extra=literals)
+        assert "zero" in from_nt.read_text()
+        assert from_ttl.read_bytes() == from_nt.read_bytes()
+
+    def test_malformed_turtle_exit_4_names_the_file(self, workspace, capsys):
+        tmp_path, _, entities_file, _, _ = workspace
+        ttl_file = tmp_path / "graph.ttl"
+        ttl_file.write_text("@prefix ex: <http://ex/> .\nex:a0 ex:linked ex:a1 ;\n  ex:linked [ ex:p ex:b ] .\n")
+        rc, _ = run_walk(tmp_path, ttl_file, entities_file)
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: unsupported-construct: blank-node property list (reading {ttl_file})\n"
 
     def test_walk_determinism_byte_identical(self, workspace):
         import gzip
@@ -372,6 +431,23 @@ class TestEvalCommand:
         )
         assert rc == 0
         assert ",regress,rmse," in capsys.readouterr().out
+
+    def test_singular_ridge_exit_4(self, trained, capsys, monkeypatch):
+        """A ridge too small to solve the normal equations is a data error,
+        as ``--ridge 0`` on a rank-deficient design is, not a traceback."""
+        tmp_path, _, model_file, _, entities = trained
+        gold = tmp_path / "targets.tsv"
+        gold.write_text("".join(f"{e}\t{i * 1.5}\n" for i, e in enumerate(entities)))
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rc = main(["eval", "--model", str(model_file), "--task", "regress", "--gold", str(gold),
+                   "--folds", "2", "--ridge", "1e-30"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == "error: design matrix is rank deficient at ridge 1e-30; use a larger ridge penalty\n"
 
     def test_entity_rel_task(self, trained, capsys):
         tmp_path, _, model_file, _, entities = trained

@@ -232,6 +232,19 @@ class TestRegression:
         rmse, _ = regression_cv(x, y, folds=5, ridge=1e-2, seed=0)
         assert math.isfinite(rmse)
 
+    def test_singular_solve_is_rank_deficient(self, monkeypatch):
+        """A non-zero ridge too small to make the normal equations
+        invertible raises RankDeficientError, not numpy's LinAlgError."""
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(8, 3)), rng.normal(size=8)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(RankDeficientError, match="at ridge 1e-30; use a larger ridge penalty"):
+            regression_cv(x, y, folds=2, ridge=1e-30, seed=0)
+
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 6))

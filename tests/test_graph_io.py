@@ -1,5 +1,6 @@
 import gzip
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -61,13 +62,6 @@ class TestNTriples:
         assert len(report.errors) == 1
         assert report.errors[0][0] == 1
 
-    def test_strict_mode_aborts_with_line_number(self):
-        data = "<http://ex/a> <http://ex/p> <http://ex/b> .\nbroken line\n"
-        with pytest.raises(ParseError) as err:
-            list(parse_ntriples(data.encode(), lenient=False))
-        assert err.value.line == 2
-        assert "broken line" in str(err.value)
-
     def test_escape_sequences_unescaped(self):
         triples, _ = nt('<http://ex/a> <http://ex/p> "caf\\u00e9 \\"x\\"\\n" .\n')
         assert triples[0].object == '"café \\"x\\"\\n"'  # canonical: quote/newline re-escaped
@@ -126,7 +120,7 @@ class TestNTriples:
     @given(st.binary(max_size=300))
     def test_lenient_never_raises_and_accounts_every_line(self, data):
         report = ParseReport()
-        list(parse_ntriples(data, lenient=True, report=report))
+        list(parse_ntriples(data, report=report))
         if not data:
             expected = 0
         else:
@@ -151,13 +145,9 @@ def _comparable(lines):
     return [line if isinstance(line, str) else ("invalid", str(line)) for line in lines]
 
 
-def _parsed(data: bytes, lenient: bool):
+def _parsed(data: bytes):
     report = ParseReport()
-    try:
-        triples = list(parse_ntriples(data, lenient=lenient, report=report))
-    except ParseError as exc:
-        return ("ParseError", exc.line, str(exc)), report
-    return triples, report
+    return list(parse_ntriples(data, report=report)), report
 
 
 # line shapes, terminators (LF, CRLF, lone CR) and bytes that are not UTF-8:
@@ -186,19 +176,19 @@ class TestBlockReader:
     def test_matches_readline_reader(self, fragments, block_size):
         """Blocks of 1-64 bytes split lines, CRLF pairs and multi-byte
         characters anywhere; lines, decode errors, line numbers, triples and
-        reports must match the ``readline`` reader, lenient and strict."""
+        reports must match the ``readline`` reader."""
         data = b"".join(fragments)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph_io, "_BLOCK_SIZE", block_size)
             lines = _comparable(_text_lines(io.BytesIO(data)))
-            parsed = [_parsed(data, lenient) for lenient in (True, False)]
+            parsed = _parsed(data)
         assert lines == _comparable(readline_lines(io.BytesIO(data)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph_io, "_text_lines", readline_lines)
-            assert parsed == [_parsed(data, lenient) for lenient in (True, False)]
+            assert parsed == _parsed(data)
 
 
-def general_only(data: bytes, *, lenient: bool = True, scope: str = "f0"):
+def general_only(data: bytes, *, scope: str = "f0"):
     """Reference loader: every line goes to ``_parse_nt_statement``, and the
     graph is built one ``add`` at a time. Returns (graph, report)."""
     report = ParseReport()
@@ -210,8 +200,6 @@ def general_only(data: bytes, *, lenient: bool = True, scope: str = "f0"):
         try:
             text = raw.rstrip(b"\r\n").decode("utf-8")
         except UnicodeDecodeError as exc:
-            if not lenient:
-                raise ParseError(f"invalid UTF-8: {exc}", lineno) from None
             report.errors.append((lineno, f"invalid UTF-8: {exc}"))
             continue
         if not text.strip(" \t") or text.strip(" \t").startswith("#"):
@@ -220,8 +208,6 @@ def general_only(data: bytes, *, lenient: bool = True, scope: str = "f0"):
         try:
             triple = _parse_nt_statement(_Scan(text), scope)
         except _Bad as exc:
-            if not lenient:
-                raise ParseError(f"{exc}: {text.rstrip()!r}", lineno) from None
             report.errors.append((lineno, str(exc)))
             continue
         report.triples_emitted += 1
@@ -278,7 +264,7 @@ class TestFastPath:
         path = tmp_path / "mixed.nt"
         path.write_bytes(data)
         report = ParseReport()
-        graph = load_graph([(path, "nt")], report=report)
+        graph = load_graph([(path, "ntriples")], report=report)
         want_graph, want = general_only(data)
         assert graph_state(graph) == graph_state(want_graph)
         assert (report.triples_emitted, report.lines_skipped, report.errors) == (
@@ -290,28 +276,12 @@ class TestFastPath:
         # the general parser saw exactly the lines outside the fast path's shape
         assert report.general_lines == len(GENERAL)
 
-    def test_mixed_file_strict(self, tmp_path):
-        data = self.mixed()
-        path = tmp_path / "mixed.nt"
-        path.write_bytes(data)
-        with pytest.raises(ParseError) as want:
-            general_only(data, lenient=False)
-        with pytest.raises(ParseError) as got:
-            load_graph([(path, "nt")], lenient=False)
-        assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
-        # without the bad lines, strict and lenient agree
-        _, lenient = general_only(data)
-        bad = {lineno for lineno, _ in lenient.errors}
-        clean = b"\n".join(line for i, line in enumerate(data.split(b"\n"), 1) if i not in bad)
-        path.write_bytes(clean)
-        assert graph_state(load_graph([(path, "nt")], lenient=False)) == graph_state(general_only(clean)[0])
-
     def test_report_adds_up_over_sources(self, tmp_path):
         one, two = tmp_path / "one.nt", tmp_path / "two.nt"
         one.write_bytes(self.mixed())
         two.write_text("# c\n<http://ex/a> <http://ex/p> <http://ex/z> .\nbroken\n")
         report = ParseReport()
-        load_graph([(one, "nt"), (two, "nt")], report=report)
+        load_graph([(one, "ntriples"), (two, "ntriples")], report=report)
         _, first = general_only(one.read_bytes())
         assert report.triples_emitted == first.triples_emitted + 1
         assert report.lines_skipped == first.lines_skipped + 1
@@ -471,6 +441,93 @@ class TestTurtleSubset:
         assert set(from_ttl) == set(from_nt)
 
 
+# Random graphs for the Turtle/N-Triples agreement test. Each namespace gets
+# a prefix, so an IRI in one may be written as a prefixed name; the empty
+# prefix is one of them.
+_PREFIXES = {"ex": "http://ex/", "": "http://example.org/ns#", "xsd": "http://www.w3.org/2001/XMLSchema#"}
+_LOCAL = st.text(alphabet="abXY09_-.%é", max_size=5).filter(lambda local: not local.endswith("."))
+_IRI = st.builds(lambda ns, local: ns + local, st.sampled_from(sorted(_PREFIXES.values())), _LOCAL)
+_BLANK = st.sampled_from(["_:b0", "_:b1", "_:x-y", "_:n.1"])
+_LANG = st.sampled_from(["en", "en-US", "de", "x-1"])
+_DATATYPE = st.sampled_from([XSD_INT, "http://www.w3.org/2001/XMLSchema#string", "http://ex/dt"])
+_LEXICAL = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_LITERAL = st.builds(
+    graph_io.literal_token,
+    _LEXICAL,
+    st.one_of(st.just(""), _LANG.map(lambda tag: "@" + tag), _DATATYPE.map(lambda dt: f"^^<{dt}>")),
+)
+
+
+def _turtle_iri(draw, iri: str, *, verb: bool = False) -> str:
+    if verb and iri == RDF_TYPE and draw(st.booleans()):
+        return "a"
+    for prefix, ns in _PREFIXES.items():
+        if iri.startswith(ns) and draw(st.booleans()):
+            return f"{prefix}:{iri[len(ns):]}"
+    # a non-ASCII character may also be written as a \u escape
+    return "<%s>" % iri.replace("é", draw(st.sampled_from(["é", "\\u00E9", "\\U000000e9"])))
+
+
+def _turtle_term(draw, token: str) -> str:
+    if token.startswith("_:"):
+        return token
+    if not token.startswith('"'):
+        return _turtle_iri(draw, token)
+    body, quote, suffix = token.rpartition('"')
+    if suffix.startswith("^^<"):
+        suffix = "^^" + _turtle_iri(draw, suffix[3:-1])
+    if draw(st.booleans()):  # every non-ASCII character as a \u or \U escape
+        body = "".join(c if ord(c) < 128 else _uchar(c) for c in body)
+    return body + quote + suffix
+
+
+def _uchar(c: str) -> str:
+    return "\\u%04X" % ord(c) if ord(c) < 0x10000 else "\\U%08X" % ord(c)
+
+
+@st.composite
+def _graph_as_turtle(draw):
+    """A list of triples and a Turtle document for it that groups each run of
+    one subject into a ';' predicate list and each run of one predicate into
+    a ',' object list. Subjects and predicates come from small pools, and the
+    triples are often sorted by them, so that such runs are common."""
+    subjects = draw(st.lists(st.one_of(_IRI, _BLANK), min_size=1, max_size=3, unique=True))
+    predicates = draw(st.lists(st.one_of(_IRI, st.just(RDF_TYPE)), min_size=1, max_size=3, unique=True))
+    objects = st.one_of(_IRI, _BLANK, _LITERAL)
+    triple = st.builds(Triple, st.sampled_from(subjects), st.sampled_from(predicates), objects)
+    triples = draw(st.lists(triple, max_size=12))
+    if draw(st.booleans()):
+        triples.sort(key=lambda t: (subjects.index(t.subject), predicates.index(t.predicate)))
+
+    def sep() -> str:
+        return draw(st.sampled_from([" ", "\n  ", "  # note\n\t"]))
+
+    lines = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in _PREFIXES.items()]
+    for subject, run in itertools.groupby(triples, key=lambda t: t.subject):
+        lists = []
+        for predicate, group in itertools.groupby(run, key=lambda t: t.predicate):
+            object_list = ("," + sep()).join(_turtle_term(draw, t.object) for t in group)
+            lists.append(_turtle_iri(draw, predicate, verb=True) + sep() + object_list)
+        lines.append(_turtle_term(draw, subject) + sep() + (sep() + ";" + sep()).join(lists) + sep() + ".")
+    return triples, "\n".join(lines) + "\n"
+
+
+class TestTurtleMatchesNTriples:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_as_turtle())
+    def test_same_triples_from_both_renderings(self, graph):
+        """Random IRIs, blank nodes and literals with escapes, language tags
+        and datatypes: the ``write_ntriples`` text and a Turtle rendering with
+        prefixes, lists and prefixed datatypes parse to the same triples."""
+        triples, turtle_doc = graph
+        buf = io.StringIO()
+        write_ntriples(triples, buf)
+        from_nt, report = nt(buf.getvalue())
+        assert report.errors == [] and from_nt == triples
+        from_ttl, _ = ttl(turtle_doc)
+        assert from_ttl == triples
+
+
 _EX = "@prefix ex: <http://ex/> .\n"
 
 # one document per error the Turtle parser raises: its class, its message and
@@ -528,10 +585,10 @@ class TestTurtleErrors:
 
 class TestLoadGraph:
     def test_strict_parse_error_names_the_file(self, tmp_path):
-        path = tmp_path / "bad.nt"
-        path.write_bytes(b"<http://ex/a> <http://ex/p> <http://ex/b> .\n\xff\n")
-        with pytest.raises(ParseError, match="invalid UTF-8") as err:
-            load_graph([(path, "ntriples")], lenient=False)
+        path = tmp_path / "bad.ttl"
+        path.write_bytes(b"@prefix ex: <http://ex/> .\nex:a ex:p ex:b ex:c .\n")
+        with pytest.raises(ParseError, match="expected ',', ';' or '.'") as err:
+            load_graph([(path, "turtle-subset")])
         assert err.value.line == 2
         assert err.value.__notes__ == [f"reading {path}"]
 
@@ -571,7 +628,7 @@ class TestLoadGraph:
         one, two = tmp_path / "one.nt", tmp_path / "two.nt"
         one.write_text(text)
         two.write_text(text)
-        g = load_graph([(one, "nt"), (two, "nt")])
+        g = load_graph([(one, "ntriples"), (two, "ntriples")])
         assert g.num_edges == 2  # _:f0.x and _:f1.x stay distinct
 
     def test_mixed_formats_union(self, tmp_path):
@@ -585,8 +642,10 @@ class TestLoadGraph:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "a.nt"
         path.write_text("")
-        with pytest.raises(ValueError):
-            load_graph([(path, "rdfxml")])
+        # only the names detect_format returns; no short aliases
+        for fmt in ("rdfxml", "nt", "ttl", "turtle"):
+            with pytest.raises(ValueError, match="expected one of \\['ntriples', 'turtle-subset'\\]"):
+                load_graph([(path, fmt)])
 
     def test_detect_format(self):
         assert detect_format("x.nt") == "ntriples"
