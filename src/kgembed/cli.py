@@ -40,7 +40,7 @@ from .eval_harness import (
     results_csv,
     walk_density,
 )
-from .graph_io import ParseError, ParseReport, detect_format, load_graph, reading
+from .graph_io import ASCII_WHITESPACE, ParseError, ParseReport, content_lines, detect_format, load_graph
 from .service import build_server
 from .trainer import (
     NEGATIVE_GROUP,
@@ -289,13 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_entity_file(path: str | Path) -> list[str]:
-    entities = []
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                entities.append(line)
-    return entities
+    return [line.strip(ASCII_WHITESPACE) for _, line in content_lines(path)]
 
 
 def cmd_walk(args) -> int:

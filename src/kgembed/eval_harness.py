@@ -10,6 +10,9 @@ Gold file formats (tab-separated, ``#`` comments and blank lines ignored):
 * document relatedness: ``doc<TAB><id><TAB><entity> <entity> ...`` rows
   defining documents and ``pair<TAB><id><TAB><id><TAB><score>`` rows scoring
   them
+
+Gold files and entity lists are read by :func:`~kgembed.graph_io.content_lines`.
+Fields, lines and a document's entities lose only ASCII whitespace at their ends.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph_io import reading
+from .graph_io import ASCII_WHITESPACE, content_lines
 from .trainer import EmbeddingModel
 from .vector_ops import ZeroVectorError, cosine, harmonic_mean, pearson, spearman, top_k
 
@@ -70,16 +73,23 @@ def stratified_folds(labels: Sequence[str], folds: int, seed: int) -> list[int]:
 
 
 def shuffled_folds(n: int, folds: int, seed: int) -> list[int]:
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if n < folds:
+    """Seeded assignment of ``n`` examples: :func:`stratified_folds` of one class."""
+    if n < folds and folds >= 2:
         raise FoldError(f"{n} examples, fewer than folds={folds}")
-    idxs = list(range(n))
-    random.Random(seed).shuffle(idxs)
-    assignment = [0] * n
-    for j, i in enumerate(idxs):
-        assignment[i] = j % folds
-    return assignment
+    return stratified_folds([""] * n, folds, seed)
+
+
+def _held_out(assignment: list[int], folds: int, predictions, fit_predict: Callable) -> list[list[int]]:
+    """Fill ``predictions`` fold by fold: ``fit_predict(train, test)`` fits on
+    the other folds' rows and predicts this fold's. Returns each fold's rows."""
+    tests = []
+    for fold in range(folds):
+        test = [i for i, a in enumerate(assignment) if a == fold]
+        train = [i for i, a in enumerate(assignment) if a != fold]
+        for i, predicted in zip(test, fit_predict(train, test)):
+            predictions[i] = predicted
+        tests.append(test)
+    return tests
 
 
 # --------------------------------------------------------------------------
@@ -127,19 +137,11 @@ def knn_cv(
 ) -> tuple[float, list[str]]:
     """Stratified cross validation; returns (mean accuracy over folds,
     held-out prediction per example)."""
-    assignment = stratified_folds(labels, folds, seed)
-    predictions: list[str | None] = [None] * len(labels)
-    accuracies = []
-    for fold in range(folds):
-        test = [i for i, a in enumerate(assignment) if a == fold]
-        train = [i for i, a in enumerate(assignment) if a != fold]
-        predicted = knn_predict(x[train], [labels[i] for i in train], x[test], k)
-        hits = 0
-        for i, label in zip(test, predicted):
-            predictions[i] = label
-            hits += label == labels[i]
-        accuracies.append(hits / len(test))
-    return float(np.mean(accuracies)), predictions  # type: ignore[return-value]
+    predictions = [""] * len(labels)
+    tests = _held_out(stratified_folds(labels, folds, seed), folds, predictions,
+                      lambda train, test: knn_predict(x[train], [labels[i] for i in train], x[test], k))
+    accuracies = [sum(predictions[i] == labels[i] for i in test) / len(test) for test in tests]
+    return float(np.mean(accuracies)), predictions
 
 
 def _model_matrix(model: EmbeddingModel, data, what: str) -> tuple[np.ndarray, list]:
@@ -174,19 +176,24 @@ def knn_classification_cv(
 
 def ridge_fit(x: np.ndarray, y: np.ndarray, ridge: float):
     """Standardize features with training statistics, center the target, and
-    solve the damped normal equations. Returns the prediction parameters."""
+    solve the damped normal equations. Returns the prediction parameters. A
+    ridge within the Gram matrix's ``matrix_rank`` tolerance counts as zero."""
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     z = (x - mu) / sd
-    if ridge == 0.0 and np.linalg.matrix_rank(z) < z.shape[1]:
-        raise RankDeficientError("design matrix is rank deficient; use a non-zero ridge penalty")
+    gram = z.T @ z
+    message = f"design matrix is rank deficient at ridge {ridge!r}; use a larger ridge penalty"
+    # matrix_rank's tolerance is the largest singular value times this; the
+    # trace bounds that value, so a usual ridge needs no SVD
+    unit = gram.shape[0] * np.finfo(gram.dtype).eps
+    if ridge <= np.trace(gram) * unit and ridge <= np.linalg.svd(gram, compute_uv=False).max() * unit:
+        if np.linalg.matrix_rank(z) < z.shape[1]:
+            raise RankDeficientError(message)
     y_mean = float(y.mean())
-    gram = z.T @ z + ridge * np.eye(z.shape[1])
     try:
-        beta = np.linalg.solve(gram, z.T @ (y - y_mean))
+        beta = np.linalg.solve(gram + ridge * np.eye(z.shape[1]), z.T @ (y - y_mean))
     except np.linalg.LinAlgError:
-        message = f"design matrix is rank deficient at ridge {ridge!r}; use a larger ridge penalty"
         raise RankDeficientError(message) from None
     return beta, mu, sd, y_mean
 
@@ -208,17 +215,10 @@ def regression_cv(
     folds, held-out prediction per example)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    assignment = shuffled_folds(len(y), folds, seed)
     predictions = np.empty(len(y), dtype=np.float64)
-    squared = []
-    for fold in range(folds):
-        test = [i for i, a in enumerate(assignment) if a == fold]
-        train = [i for i, a in enumerate(assignment) if a != fold]
-        params = ridge_fit(x[train], y[train], ridge)
-        p = ridge_predict(params, x[test])
-        predictions[test] = p
-        squared.append((p - y[test]) ** 2)
-    rmse = float(np.sqrt(np.concatenate(squared).mean()))
+    tests = _held_out(shuffled_folds(len(y), folds, seed), folds, predictions,
+                      lambda train, test: ridge_predict(ridge_fit(x[train], y[train], ridge), x[test]))
+    rmse = float(np.sqrt(np.concatenate([(predictions[test] - y[test]) ** 2 for test in tests]).mean()))
     return rmse, predictions
 
 
@@ -359,60 +359,55 @@ def walk_density(corpus) -> DensityReport:
 # --------------------------------------------------------------------------
 
 
-def _content_lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
+def _finite(field: str, what: str) -> float:
+    try:
+        value = float(field)
+    except ValueError:
+        raise ValueError(f"unparseable {what} {field!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} {field!r}")
+    return value
+
+
+def _entity_values(path: str | Path, value: str, parse: Callable[[str], object]) -> list:
+    """Rows of ``<entity><TAB><value>``, each entity once. ``parse`` returns the
+    row's value, ``""`` for a malformed row, or raises ``ValueError``."""
+    rows = []
+    seen: set[str] = set()
+    for lineno, line in content_lines(path):
+        parts = line.split("\t")
+        entity = parts[0].strip(ASCII_WHITESPACE)
+        try:
+            parsed = parse(parts[1]) if len(parts) == 2 and entity else ""
+        except ValueError as exc:
+            raise EvalError(f"{path}:{lineno}: {exc}") from None
+        if parsed == "":
+            raise EvalError(f"{path}:{lineno}: expected '<entity><TAB><{value}>'")
+        if entity in seen:
+            raise EvalError(f"{path}:{lineno}: duplicate entity {entity!r}")
+        seen.add(entity)
+        rows.append((entity, parsed))
+    return rows
 
 
 def load_labeled_entities(path: str | Path) -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for lineno, line in _content_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise EvalError(f"{path}:{lineno}: expected '<entity><TAB><label>'")
-        entity = parts[0].strip()
-        if entity in seen:
-            raise EvalError(f"{path}:{lineno}: duplicate entity {entity!r}")
-        seen.add(entity)
-        rows.append((entity, parts[1].strip()))
-    return rows
+    return _entity_values(path, "label", lambda field: field.strip(ASCII_WHITESPACE))
 
 
 def load_regression_targets(path: str | Path) -> list[tuple[str, float]]:
-    rows: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    for lineno, line in _content_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip():
-            raise EvalError(f"{path}:{lineno}: expected '<entity><TAB><target>'")
-        entity = parts[0].strip()
-        if entity in seen:
-            raise EvalError(f"{path}:{lineno}: duplicate entity {entity!r}")
-        try:
-            target = float(parts[1])
-        except ValueError:
-            raise EvalError(f"{path}:{lineno}: unparseable target {parts[1]!r}") from None
-        if not math.isfinite(target):
-            raise EvalError(f"{path}:{lineno}: non-finite target {parts[1]!r}")
-        seen.add(entity)
-        rows.append((entity, target))
-    return rows
+    return _entity_values(path, "target", lambda field: _finite(field, "target"))
 
 
 def load_entity_relatedness_gold(path: str | Path) -> list[tuple[str, list[str]]]:
     gold: list[tuple[str, list[str]]] = []
-    for lineno, line in _content_lines(path):
-        if line.startswith("\t"):
-            if not gold:
-                raise EvalError(f"{path}:{lineno}: candidate before any seed line")
-            gold[-1][1].append(line.strip())
+    for lineno, line in content_lines(path):
+        iri = line.strip(ASCII_WHITESPACE)
+        if not line.startswith("\t"):
+            gold.append((iri, []))
+        elif gold:
+            gold[-1][1].append(iri)
         else:
-            gold.append((line.strip(), []))
+            raise EvalError(f"{path}:{lineno}: candidate before any seed line")
     return gold
 
 
@@ -421,26 +416,23 @@ def load_document_relatedness_gold(
 ) -> tuple[dict[str, list[str]], list[tuple[str, str, float]]]:
     documents: dict[str, list[str]] = {}
     pairs: list[tuple[str, str, float]] = []
-    for lineno, line in _content_lines(path):
-        parts = line.split("\t")
-        kind = parts[0]
+    for lineno, line in content_lines(path):
+        raw = line.split("\t")
+        kind, *fields = [part.strip(ASCII_WHITESPACE) for part in raw]
         if kind == "doc":
-            if len(parts) != 3 or not parts[1]:
+            if len(raw) != 3 or not fields[0]:
                 raise EvalError(f"{path}:{lineno}: expected 'doc<TAB><id><TAB><entities>'")
-            if parts[1] in documents:
-                raise EvalError(f"{path}:{lineno}: duplicate document {parts[1]!r}")
+            if fields[0] in documents:
+                raise EvalError(f"{path}:{lineno}: duplicate document {fields[0]!r}")
             # entities are separated by spaces only; an IRI may hold other whitespace
-            documents[parts[1]] = [e for e in parts[2].split(" ") if e]
+            documents[fields[0]] = [e for e in (t.strip(ASCII_WHITESPACE) for t in fields[1].split(" ")) if e]
         elif kind == "pair":
-            if len(parts) != 4:
+            if len(raw) != 4:
                 raise EvalError(f"{path}:{lineno}: expected 'pair<TAB><id><TAB><id><TAB><score>'")
             try:
-                score = float(parts[3])
-            except ValueError:
-                raise EvalError(f"{path}:{lineno}: unparseable score {parts[3]!r}") from None
-            if not math.isfinite(score):
-                raise EvalError(f"{path}:{lineno}: non-finite score {parts[3]!r}")
-            pairs.append((parts[1], parts[2], score))
+                pairs.append((fields[0], fields[1], _finite(raw[3], "score")))
+            except ValueError as exc:
+                raise EvalError(f"{path}:{lineno}: {exc}") from None
         else:
             raise EvalError(f"{path}:{lineno}: unknown row kind {kind!r}")
     return documents, pairs

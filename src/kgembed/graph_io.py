@@ -665,6 +665,19 @@ def reading(path: str | Path) -> Iterator[None]:
         raise
 
 
+# the one trim rule of list files: other whitespace, such as U+00A0, may end a token
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+def content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(lineno, text)`` of each line of a UTF-8 entity or gold file that is
+    not blank or a ``#`` comment after trimming; ``text`` loses its line end."""
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip(ASCII_WHITESPACE)[:1] not in ("", "#"):
+                yield lineno, line.rstrip("\n")
+
+
 def open_bytes_read(path: str | Path) -> IO[bytes]:
     if str(path).endswith(".gz"):
         return gzip.open(path, "rb")

@@ -32,8 +32,8 @@ def cosine(u, v) -> float:
     b = np.asarray(v, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = math.sqrt(a.dot(a))  # what np.linalg.norm computes for one real vector
+    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine of a zero-norm vector is undefined")
     return float(a @ b / (na * nb))
@@ -77,16 +77,8 @@ class NeighborIndex:
         return bool(self.zero[self.vocabulary.index_of(token)])
 
     def similarity(self, left: str, right: str) -> float:
-        """:func:`cosine` of two tokens' vectors, the same float to the last
-        bit, read from the float64 rows; a zero-norm row raises
-        :class:`ZeroVectorError`."""
-        a = self.matrix[self.vocabulary.index_of(left)]
-        b = self.matrix[self.vocabulary.index_of(right)]
-        na = math.sqrt(a.dot(a))  # what np.linalg.norm computes for one vector
-        nb = math.sqrt(b.dot(b))
-        if na == 0.0 or nb == 0.0:
-            raise ZeroVectorError("cosine of a zero-norm vector is undefined")
-        return float(a @ b / (na * nb))
+        """:func:`cosine` of two tokens' float64 rows."""
+        return cosine(self.matrix[self.vocabulary.index_of(left)], self.matrix[self.vocabulary.index_of(right)])
 
     def query(self, token: str, k: int = 10) -> list[tuple[str, float]]:
         """See :func:`nearest_neighbors`."""
@@ -138,18 +130,13 @@ def pearson(xs, ys) -> float:
 
 
 def average_ranks(values) -> np.ndarray:
-    """1-based ranks; ties receive the mean of the positions they occupy."""
+    """1-based ranks; ties (``-0.0`` and ``0.0`` too) receive the mean of the
+    positions they occupy. Each NaN ranks alone, after all numbers, by index."""
     a = np.asarray(values, dtype=np.float64)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.shape[0], dtype=np.float64)
-    i = 0
-    while i < a.shape[0]:
-        j = i
-        while j + 1 < a.shape[0] and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # return_index makes np.unique sort stably, which orders the NaNs by index
+    _, _, inverse, counts = np.unique(a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts - 1) + 1.0)[inverse]
 
 
 def spearman(xs, ys) -> float:

@@ -236,6 +236,22 @@ class TestWalkCommand:
         _, again = run_walk(tmp_path, graph_file, entities_file, "one.txt.gz")
         assert first_bytes == again.read_bytes()
 
+    @pytest.mark.parametrize("char", ["\u00a0", "\u2028"])
+    def test_entity_keeps_non_ascii_whitespace_at_its_ends(self, tmp_path, char):
+        """An IRI may start or end in whitespace other than ASCII; the entity
+        file loses only ASCII spaces, tabs and CRs around it."""
+        iri = f"http://x/{char}a{char}"
+        graph_file = tmp_path / "g.nt"
+        graph_file.write_text(f"<{iri}> <http://x/p> <http://x/b> .\n<http://x/b> <http://x/p> <{iri}> .\n")
+        entities_file = tmp_path / "e.txt"
+        entities_file.write_bytes(f"# anchors\n \t{iri} \t\r\n".encode("utf-8"))
+        rc, out = run_walk(tmp_path, graph_file, entities_file)
+        assert rc == 0
+        manifest = read_manifest(manifest_path(out))
+        assert (manifest["entities_walked"], manifest["missing_entities"]) == ("1", "0")
+        walks = [line.split(" ") for line in out.read_text(encoding="utf-8").split("\n") if line]
+        assert len(walks) == 12 and all(iri in walk for walk in walks)
+
     def test_empty_entity_file_exit_4(self, workspace, tmp_path):
         _, graph_file, _, _, _ = workspace
         empty = tmp_path / "none.txt"
@@ -448,6 +464,20 @@ class TestEvalCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert err == "error: design matrix is rank deficient at ridge 1e-30; use a larger ridge penalty\n"
+
+    @pytest.mark.parametrize("ridge", ["1e-15", "1e-30"])
+    def test_negligible_ridge_on_rank_deficient_design_exit_4(self, trained, capsys, ridge):
+        """Two folds train on 4 of the 8 entities in 16 dimensions. A ridge
+        within the Gram matrix's rounding counts as zero, so it is refused
+        instead of solving to a meaningless RMSE."""
+        tmp_path, _, model_file, _, entities = trained
+        gold = tmp_path / "targets.tsv"
+        gold.write_text("".join(f"{e}\t{i * 1.5}\n" for i, e in enumerate(entities)))
+        rc = main(["eval", "--model", str(model_file), "--task", "regress", "--gold", str(gold),
+                   "--folds", "2", "--ridge", ridge])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == f"error: design matrix is rank deficient at ridge {ridge}; use a larger ridge penalty\n"
 
     def test_entity_rel_task(self, trained, capsys):
         tmp_path, _, model_file, _, entities = trained

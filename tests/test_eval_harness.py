@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_eval
 from fixtures import star_fixture, two_cluster_fixture
 from kgembed.eval_harness import (
     EvalError,
@@ -22,6 +23,8 @@ from kgembed.eval_harness import (
     load_regression_targets,
     regression_cv,
     results_csv,
+    ridge_fit,
+    ridge_predict,
     shuffled_folds,
     stratified_folds,
     walk_density,
@@ -68,6 +71,26 @@ def reference_knn_predict(train_x, train_y, test_x, k=3):
     return predictions
 
 
+def outcome(f, *args, **kwargs):
+    """What the call returns, or the class and message of what it raises."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cv_problems(draw):
+    """Rows drawn from a small pool of nonzero points, so duplicate rows and
+    exact similarity ties are common, with a fold count and a seed."""
+    folds = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    point = st.lists(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]), min_size=d, max_size=d)
+    pool = draw(st.lists(point, min_size=1, max_size=8))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=folds, max_size=30))
+    return np.array([pool[i] for i in rows]), folds, draw(st.integers(0, 2**16))
+
+
 @st.composite
 def knn_problems(draw):
     """Small integer-valued points (no zero rows): many exact similarity ties
@@ -97,6 +120,12 @@ class TestFolds:
     def test_shuffled_rejects_too_few_examples(self):
         with pytest.raises(FoldError):
             shuffled_folds(5, folds=10, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-3, 40), st.integers(-2, 12), st.integers(0, 2**32 - 1))
+    def test_shuffled_matches_its_own_shuffle(self, n, folds, seed):
+        """The same assignment, or the same exception class and message."""
+        assert outcome(shuffled_folds, n, folds, seed) == outcome(reference_eval.shuffled_folds, n, folds, seed)
 
     def test_assignments_are_seeded(self):
         labels = ["a"] * 10 + ["b"] * 10
@@ -188,6 +217,30 @@ class TestKnn:
         assert pred1 == pred2
 
 
+class TestOneFoldLoop:
+    """``knn_cv`` and ``regression_cv`` share one held-out loop; each gives
+    what its own loop gave, to the last bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cv_problems(), st.data())
+    def test_knn_cv_matches_its_own_loop(self, problem, data):
+        x, folds, seed = problem
+        labels = data.draw(st.lists(st.sampled_from("abc"), min_size=len(x), max_size=len(x)))
+        k = data.draw(st.integers(1, len(x)))
+        got = outcome(knn_cv, x, labels, k=k, folds=folds, seed=seed)
+        assert got == outcome(reference_eval.knn_cv, x, labels, k=k, folds=folds, seed=seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cv_problems(), st.sampled_from([1e-3, 0.1, 1.0, 25.0]), st.data())
+    def test_regression_cv_matches_its_own_loop(self, problem, ridge, data):
+        x, folds, seed = problem
+        y = np.array(data.draw(st.lists(st.floats(-100, 100), min_size=len(x), max_size=len(x))))
+        rmse, predictions = regression_cv(x, y, folds=folds, ridge=ridge, seed=seed)
+        want_rmse, want_predictions = reference_eval.regression_cv(x, y, folds=folds, ridge=ridge, seed=seed)
+        assert rmse.hex() == want_rmse.hex()
+        assert predictions.tobytes() == want_predictions.tobytes()
+
+
 class TestRegression:
     def test_constant_zero_targets(self):
         rng = np.random.default_rng(0)
@@ -244,6 +297,21 @@ class TestRegression:
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(RankDeficientError, match="at ridge 1e-30; use a larger ridge penalty"):
             regression_cv(x, y, folds=2, ridge=1e-30, seed=0)
+
+    @pytest.mark.parametrize("ridge", [1e-15, 1e-30])
+    def test_negligible_ridge_on_rank_deficient_design_raises(self, ridge):
+        """4 rows of 8 dimensions: a ridge within the Gram matrix's rounding
+        would solve to noise, so it counts as zero."""
+        rng = np.random.default_rng(6)
+        with pytest.raises(RankDeficientError, match=f"at ridge {ridge!r}; use a larger ridge penalty"):
+            ridge_fit(rng.normal(size=(4, 8)), rng.normal(size=4), ridge)
+
+    def test_full_rank_design_solves_at_negligible_ridge(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(20, 8))
+        y = x @ rng.normal(size=8)
+        params = ridge_fit(x, y, 1e-30)
+        assert np.abs(ridge_predict(params, x) - y).max() < 1e-9
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(4)
@@ -444,6 +512,21 @@ class TestWalkDensity:
         assert 0.0 <= report.density <= 1.0
 
 
+# whitespace to str.strip() that is not ASCII whitespace: part of a token
+OTHER_WHITESPACE = ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+def with_char(value, char):
+    """``value`` with each ``~`` in its strings replaced by ``char``."""
+    if isinstance(value, str):
+        return value.replace("~", char)
+    if isinstance(value, dict):
+        return {with_char(k, char): with_char(v, char) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(with_char(v, char) for v in value)
+    return value
+
+
 class TestGoldLoaders:
     def test_labeled_entities(self, tmp_path):
         path = tmp_path / "gold.tsv"
@@ -499,12 +582,30 @@ class TestGoldLoaders:
         assert documents == {"d1": ["http://ex/a", "http://ex/b"], "d2": ["http://ex/c"]}
         assert pairs == [("d1", "d2", 3.25)]
 
-    @pytest.mark.parametrize("char", ["\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize("char", OTHER_WHITESPACE)
     def test_document_entities_split_on_spaces_only(self, tmp_path, char):
         path = tmp_path / "gold.tsv"
         path.write_text(f"doc\td1\t http://ex/a{char}b  http://ex/c \n", encoding="utf-8")
         documents, _ = load_document_relatedness_gold(path)
         assert documents == {"d1": [f"http://ex/a{char}b", "http://ex/c"]}
+
+    @pytest.mark.parametrize("char", OTHER_WHITESPACE)
+    @pytest.mark.parametrize(
+        "load, text, expected",
+        [
+            (load_labeled_entities, " ~http://ex/a~ \t ~x~\r\n", [("~http://ex/a~", "~x~")]),
+            (load_regression_targets, "\x0b~http://ex/a~\x0c\t 1.5 \r\n", [("~http://ex/a~", 1.5)]),
+            (load_entity_relatedness_gold, " ~http://ex/s~\t\r\n\t ~http://ex/c~ \r\n", [("~http://ex/s~", ["~http://ex/c~"])]),
+            (load_document_relatedness_gold, " doc \t d1 \t ~http://ex/a~ \r\n", ({"d1": ["~http://ex/a~"]}, [])),
+        ],
+        ids=["classify", "regress", "entity-rel", "doc-rel"],
+    )
+    def test_only_ascii_whitespace_is_trimmed(self, tmp_path, char, load, text, expected):
+        """Spaces, tabs, CRs, VT and FF around a field go; any other
+        whitespace (``~`` in the cases) is part of the token."""
+        path = tmp_path / "gold.tsv"
+        path.write_bytes(text.replace("~", char).encode("utf-8"))
+        assert load(path) == with_char(expected, char)
 
     def test_document_relatedness_bad_kind(self, tmp_path):
         path = tmp_path / "gold.tsv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_eval
 from kgembed.trainer import EmbeddingModel, UnknownTokenError, Vocabulary
 from kgembed.vector_ops import (
     DegenerateVarianceError,
@@ -63,6 +64,16 @@ class TestCosine:
         assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-12)
         scaled = [alpha * x for x in u]
         assert cosine(scaled, v) == pytest.approx(cosine(u, v), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    def test_equal_to_linalg_norm_cosine_to_the_last_bit(self, seed, d):
+        """``math.sqrt(a.dot(a))`` is the norm ``np.linalg.norm`` computes
+        for one real vector, over scales from 1e-20 to 1e20."""
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            u, v = rng.normal(size=(2, d)) * 10.0 ** rng.integers(-20, 20, size=(2, 1))
+            assert cosine(u, v) == reference_eval.cosine(u, v)
 
 
 class TestNearestNeighbors:
@@ -216,7 +227,7 @@ class TestIndexSimilarity:
         index = NeighborIndex(model)
         for a, b in rng.integers(0, n, size=(8, 2)):
             left, right = f"t{a}", f"t{b}"
-            assert index.similarity(left, right) == cosine(model.vector(left), model.vector(right))
+            assert index.similarity(left, right) == reference_eval.cosine(model.vector(left), model.vector(right))
 
     def test_zero_row_raises(self):
         index = NeighborIndex(make_model(["a", "z"], [[1.0, 2.0], [0.0, 0.0]]))
@@ -328,6 +339,15 @@ class TestSpearman:
 
     def test_average_ranks_values(self):
         assert average_ranks([10.0, 10.0, 5.0]).tolist() == [2.5, 2.5, 1.0]
+
+    def test_signed_zeros_tie_and_each_nan_ranks_alone(self):
+        ranks = average_ranks([math.nan, 0.0, -0.0, math.nan, 1.0, -math.inf])
+        assert ranks.tolist() == [5.0, 2.5, 2.5, 6.0, 4.0, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf]) | st.floats(), max_size=40))
+    def test_average_ranks_equal_to_the_tie_loop(self, values):
+        assert np.array_equal(average_ranks(values), reference_eval.average_ranks(values), equal_nan=True)
 
 
 class TestHarmonicMean:
