@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import logging
 import math
+import resource
 import signal
 import sys
 import time
@@ -50,6 +51,7 @@ from .trainer import (
     TrainConfig,
     TrainingDivergedError,
     UnknownTokenError,
+    clipping_warning,
     load_model,
     save_model,
     train,
@@ -151,13 +153,15 @@ def append_manifest(path: str | Path, entries: dict) -> None:
 
 def _peak_memory() -> dict:
     """``memory.peak_mb``, this process's resident high-water mark ``VmHWM``, where
-    ``/proc/self/status`` exists (not ``ru_maxrss``: a child inherits that at ``exec``)."""
+    ``/proc/self/status`` exists (not ``ru_maxrss``: a child inherits that at ``exec``),
+    and ``memory.minor_faults``, the pages it has faulted in without I/O so far."""
+    entries = {"memory.minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt}
     try:
         with open("/proc/self/status", encoding="utf-8", errors="replace") as fh:
             kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
     except (OSError, StopIteration):
-        return {}
-    return {"memory.peak_mb": f"{int(kb) / 1024:.1f}"}
+        return entries
+    return {"memory.peak_mb": f"{int(kb) / 1024:.1f}"} | entries
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
@@ -458,6 +462,9 @@ def cmd_train(args) -> int:
     entries |= _peak_memory()
     append_manifest(manifest_path(args.out), entries)
     print(f"trained {len(model.vocabulary)} vectors of dimension {cfg.dimension} -> {args.out}")
+    warning = clipping_warning(model)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -24,6 +24,16 @@ against the tables as they stood when the batch started, and each table
 receives them through one reduce-by-key pass (a stable sort of the target
 rows, then one segment sum per distinct row). The summation order depends
 only on the batch, so single-worker runs are bit-reproducible.
+
+Each worker owns one set of work buffers (:class:`_WorkBuffers`), built once
+per :func:`train` call from the chunk size, and every kernel step writes into
+views of it: gathers through ``np.take(..., mode="clip", out=...)``, matmuls
+and segment sums through ``out=``. A chunk's temporaries are 0.3-0.8 MB each,
+past glibc's mmap threshold, so allocating them per chunk handed the memory
+back to the OS on every free and faulted it in again on the next chunk
+(~80k minor faults per skip-gram run on the hub bench corpus, ~45% of its
+training time). ``mode="clip"`` does no bounds check, so :func:`train` checks
+the example arrays once and the kernel checks each chunk's negatives.
 :func:`sgns_gradient` is the exact one-pair reference step that the unit and
 finite-difference tests exercise.
 
@@ -40,6 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,9 +82,39 @@ def _chunk_size(vocab_size: int, lr: float, negatives: int) -> int:
 
 
 _MAX_ROW_UPDATE = 0.5
+CLIP_WARNING_SHARE = 0.5  # a final epoch clipping more of its row totals than this is warned about
 
 
-def _add_rows_clipped(table, rows, src, owner, weights) -> tuple[int, int]:
+def _check_rows(ids: np.ndarray, size: int) -> None:
+    """Raise ``IndexError`` unless every id is a row of a ``size``-row table.
+    The kernel gathers with ``mode="clip"``, which does not check."""
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise IndexError(f"row ids {ids.min()}..{ids.max()} out of range for a table of {size} rows")
+
+
+class _WorkBuffers:
+    """One worker's work arrays for :func:`_process_chunk` (see the module
+    docstring). They fit any chunk of at most ``batch`` examples with
+    ``width`` input slots whose negatives are at most ``groups`` rows of
+    ``negatives`` draws. A chunk still allocates what is not ``dim`` wide:
+    the sort and mask indexes, and the loss's temporaries over the scores."""
+
+    def __init__(self, batch: int, groups: int, width: int, negatives: int, dim: int, vocab: int):
+        out_terms = batch + groups * negatives  # the targets, then one row per group and draw
+        terms = max(out_terms, batch * width)
+        padded = batch + groups  # g groups of ceil(b / g) pad fewer than g rows
+        self.terms = np.empty((terms, dim), np.float32)  # the input gather, then each table's terms
+        self.sums = np.empty((min(terms, vocab), dim), np.float32)  # one total per distinct row
+        self.src = np.empty((out_terms, dim), np.float32)  # h, then the grouped negative updates
+        self.ut = np.empty((batch, dim), np.float32)  # target rows, then the head gradient
+        self.hg = np.empty((padded, dim), np.float32)  # h by group, then the negatives' head gradient
+        self.un = np.empty((groups * negatives, dim), np.float32)  # negative rows
+        self.scores = np.empty((2, padded * negatives), np.float32)  # scores and their gradients
+        self.rows = np.empty(out_terms, np.int64)
+        self.weights = np.empty(out_terms, np.float32)
+
+
+def _add_rows_clipped(table, rows, src, owner, weights, work=None) -> tuple[int, int]:
     """Add ``weights[j] * src[owner[j]]`` to ``table[rows[j]]`` for every j.
 
     The terms are grouped by target row with a stable sort and summed per
@@ -81,21 +122,29 @@ def _add_rows_clipped(table, rows, src, owner, weights) -> tuple[int, int]:
     movement per chunk is then clipped to ``_MAX_ROW_UPDATE``: hub rows can
     be hit hundreds of times in one chunk with gradients taken at chunk-start
     values, and unclipped, that stale accumulation can overshoot and blow the
-    tables up. Returns the number of rows updated and of rows clipped.
+    tables up. ``work`` (fresh buffers when None) takes the terms and totals.
+    Returns the number of rows updated and of rows clipped.
     """
-    if rows.size == 0:
+    n = rows.size
+    if n == 0:
         return 0, 0
+    if work is None:
+        work = _WorkBuffers(n, 0, 1, 0, table.shape[1], table.shape[0])
     order = np.argsort(rows, kind="stable")
     keys = rows[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    terms = src[owner[order]]
+    terms = np.take(src, owner[order], axis=0, mode="clip", out=work.terms[:n])
     terms *= weights[order][:, None]
-    sums = np.add.reduceat(terms, starts, axis=0)
+    sums = np.add.reduceat(terms, starts, axis=0, out=work.sums[: starts.size])
     norms = np.sqrt(np.einsum("ud,ud->u", sums, sums))
     clipped = int(np.count_nonzero(norms > _MAX_ROW_UPDATE))
     np.maximum(norms, _MAX_ROW_UPDATE, out=norms)
     sums *= (_MAX_ROW_UPDATE / norms)[:, None]
-    table[keys[starts]] += sums
+    # table[unique] += sums through the spent terms buffer; the fancy += would allocate its own
+    unique = keys[starts]
+    moved = np.take(table, unique, axis=0, mode="clip", out=work.terms[: starts.size])
+    moved += sums
+    table[unique] = moved
     return int(starts.size), clipped
 
 
@@ -267,9 +316,11 @@ class EmbeddingModel:
 # --------------------------------------------------------------------------
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.exp(np.negative(x, out=out), out=out)
+        e += 1.0
+        return np.divide(1.0, e, out=out)
 
 
 def _softplus(x):
@@ -313,7 +364,7 @@ def sgns_gradient(center, context, negatives, lr):
     return v - lr * d_center, u - lr * d_context, negs - lr * d_negs
 
 
-def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
+def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr, work=None):
     """One negative-sampling step for a chunk of examples. Example b predicts
     the ``w_out`` row ``targets[b]`` from the masked mean ``h[b]`` of its
     ``w_in`` rows ``inputs[b]``; a skip-gram pair is an example with one slot.
@@ -323,40 +374,59 @@ def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
     contrasted with row ``b // m`` (the last group may be partial). Each group
     is scored with one batched matmul against its ``K`` gathered rows, and
     moves each of them once, by the sum over its examples. ``G = B`` is the
-    per-example step. Returns the summed loss, the example count, and the rows
-    updated and clipped in the two tables."""
+    per-example step. ``inputs`` and ``targets`` must be rows of the tables
+    (:func:`train` checks them once); ``negatives`` are checked here. Every
+    step writes into ``work`` (fresh buffers when None). Returns the summed
+    loss, the example count, and the rows updated and clipped in the two
+    tables."""
+    (b, width), (g, k), dim = inputs.shape, negatives.shape, w_in.shape[1]
+    _check_rows(negatives, w_out.shape[0])
+    if work is None:
+        work = _WorkBuffers(b, g, width, k, dim, w_in.shape[0])
+    m = -(-b // g)
+    n_out = b + g * k
     # overflow in a diverging run is caught by the loss guard, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         counts = mask.sum(axis=1)  # >= 1 by construction
-        h = np.einsum("bwd,bw->bd", w_in[inputs], mask) / counts[:, None]
-        ut = w_out[targets]
+        gathered = np.take(w_in, inputs, axis=0, mode="clip", out=work.terms[: b * width].reshape(b, width, dim))
+        h = np.einsum("bwd,bw->bd", gathered, mask, out=work.src[:b])
+        h /= counts[:, None]
+        ut = np.take(w_out, targets, axis=0, mode="clip", out=work.ut[:b])
         pos = np.einsum("bd,bd->b", h, ut)
         gp = 1.0 - _sigmoid(pos)
         loss = float(_softplus(-pos).sum(dtype=np.float64))
-        (b, dim), (g, k) = h.shape, negatives.shape
-        m = -(-b // g)
-        hg = np.zeros((g * m, dim), dtype=h.dtype)
+        hg = work.hg[: g * m]
         hg[:b] = h
-        hg = hg.reshape(g, m, dim)  # zero rows pad the last group
-        un = w_out[negatives]
-        ns = np.matmul(hg, un.transpose(0, 2, 1))
+        hg[b:] = 0.0  # zero rows pad the last group
+        hg = hg.reshape(g, m, dim)
+        un = np.take(w_out, negatives, axis=0, mode="clip", out=work.un[: g * k].reshape(g, k, dim))
+        ns, gn = (s[: g * m * k].reshape(g, m, k) for s in work.scores)
+        np.matmul(hg, un.transpose(0, 2, 1), out=ns)
         padded = np.full(g * m, -1, dtype=targets.dtype)
         padded[:b] = targets
-        live = negatives[:, None, :] != padded.reshape(g, m, 1)  # a draw equal to the positive is skipped
-        live.reshape(g * m, k)[b:] = False  # and so are the padding rows
-        gn = np.where(live, -_sigmoid(ns), np.float32(0.0))
-        loss += float(_softplus(np.where(live, ns, np.float32(-np.inf))).sum(dtype=np.float64))
-        dh = gp[:, None] * ut + np.matmul(gn, un).reshape(g * m, dim)[:b]
+        dead = negatives[:, None, :] == padded.reshape(g, m, 1)  # a draw equal to the positive is skipped
+        dead.reshape(g * m, k)[b:] = True  # and so are the padding rows
+        np.negative(_sigmoid(ns, out=gn), out=gn)
+        np.copyto(gn, np.float32(0.0), where=dead)
+        np.copyto(ns, np.float32(-np.inf), where=dead)
+        loss += float(_softplus(ns).sum(dtype=np.float64))
         # example b moves its target row by lr*gp[b]*h[b]; group j moves its
-        # k-th negative row once, by the sum of lr*gn[b, k]*h[b] over its examples
-        grouped = np.matmul((lr * gn).transpose(0, 2, 1), hg).reshape(g * k, dim)
-        rows = np.concatenate([targets, negatives.ravel()])
-        src = np.concatenate([h, grouped])
-        weights = np.concatenate([lr * gp, np.ones(g * k, dtype=gp.dtype)])
-        out_rows, out_clipped = _add_rows_clipped(w_out, rows, src, np.arange(rows.size), weights)
+        # k-th negative row once, by the sum of lr*gn[b, k]*h[b] over its examples.
+        # The scores, the target rows and then hg are spent, and are overwritten.
+        lgn = np.multiply(lr, gn, out=ns)
+        np.matmul(lgn.transpose(0, 2, 1), hg, out=work.src[b:n_out].reshape(g, k, dim))
+        dh = np.multiply(ut, gp[:, None], out=ut)
+        dh += np.matmul(gn, un, out=hg).reshape(g * m, dim)[:b]
+        rows, weights = work.rows[:n_out], work.weights[:n_out]
+        rows[:b], rows[b:] = targets, negatives.ravel()
+        np.multiply(lr, gp, out=weights[:b])
+        weights[b:] = 1.0
+        out_rows, out_clipped = _add_rows_clipped(w_out, rows, work.src[:n_out], np.arange(n_out), weights, work)
         # the mean distributes the head gradient equally over live input slots
         slot_owner, slot = np.nonzero(mask)
-        in_rows, in_clipped = _add_rows_clipped(w_in, inputs[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner])
+        in_rows, in_clipped = _add_rows_clipped(
+            w_in, inputs[slot_owner, slot], dh, slot_owner, (lr / counts)[slot_owner], work
+        )
         return loss, b, in_rows + out_rows, in_clipped + out_clipped
 
 
@@ -430,12 +500,13 @@ def train(
     chunks in threads that update the shared tables without locking, in the
     Hogwild style (Recht et al., 2011): concurrent chunks read stale rows and
     may overwrite each other's row updates, which the similarity contracts
-    tolerate. The numpy calls release the GIL, so on 2 vCPUs ``workers=2``
-    trains faster, at a worse loss per epoch and without reproducibility:
-    skip-gram on a hub-heavy corpus (1.8k tokens, 5 epochs) took 0.32 s
-    against 0.37 s with one worker (median of ten interleaved runs), at a
-    final loss of 4.17-4.27 against 4.15; on 45k tokens, one epoch took
-    1.25 s against 2.03 s, at a loss of 9.16-9.41 against 7.86.
+    tolerate. Each thread owns one set of work buffers. The numpy calls
+    release the GIL, so on 2 vCPUs ``workers=2`` trains faster, at a worse
+    loss per epoch and without reproducibility: skip-gram on a hub-heavy
+    corpus (1.8k tokens, 5 epochs) took 0.156 s against 0.167 s with one
+    worker (median of ten interleaved runs, two faster in 9 of 10), at a
+    final loss of 4.18-4.22 against 4.15; on 45k tokens, one epoch took
+    0.64 s against 0.81 s (10 of 10), at a loss of 9.07-9.67 against 7.85.
 
     Each epoch logs one line and appends an :class:`EpochStats` to
     ``model.epoch_stats``.
@@ -457,12 +528,19 @@ def train(
         logger.info("corpus has no context pairs; returning initialized vectors")
         return EmbeddingModel(vocab, w_in, w_out, cfg)
 
+    _check_rows(inputs, size)
+    _check_rows(targets, size)
     cumulative = np.cumsum(vocab.sampling_probs)
     cumulative[-1] = 1.0  # guard float drift so sampled indices stay in range
     lr0 = cfg.learning_rate
     total_scheduled = n_updates * cfg.epochs
     chunk = _chunk_size(size, lr0, cfg.negatives)
     spans = [(s, min(s + chunk, n_updates)) for s in range(0, n_updates, chunk)]
+    # one buffer set per chunk in flight, taken from the queue and put back
+    batch = min(chunk, n_updates)
+    free_work: SimpleQueue[_WorkBuffers] = SimpleQueue()
+    for _ in range(max(1, min(workers, len(spans)))):
+        free_work.put(_WorkBuffers(batch, -(-batch // NEGATIVE_GROUP), inputs.shape[1], cfg.negatives, dim, size))
     epoch_stats: list[EpochStats] = []
 
     for epoch in range(cfg.epochs):
@@ -476,7 +554,11 @@ def train(
             progress = (epoch * n_updates + lo) / total_scheduled
             with np.errstate(over="ignore"):  # a rate past float32 range diverges, and the loss guard says so
                 lr = np.float32(lr0 * (1.0 - (1.0 - _LR_FLOOR_RATIO) * progress))
-            return _process_chunk(w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr)
+            work = free_work.get()
+            try:
+                return _process_chunk(w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr, work)
+            finally:
+                free_work.put(work)
 
         if workers <= 1:
             results = [run_chunk(item) for item in enumerate(spans)]
@@ -505,7 +587,28 @@ def train(
 
     if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
         raise TrainingDivergedError(f"non-finite vectors after training (initial rate {lr0})")
-    return EmbeddingModel(vocab, w_in, w_out, cfg, epoch_stats)
+    model = EmbeddingModel(vocab, w_in, w_out, cfg, epoch_stats)
+    warning = clipping_warning(model)
+    if warning:
+        logger.warning(warning)
+    return model
+
+
+def clipping_warning(model: EmbeddingModel) -> str | None:
+    """A warning when the final epoch clipped more than ``CLIP_WARNING_SHARE``
+    of its row totals, else None. The clip keeps the loss finite at a rate far
+    too high for the corpus, so such a run ends without error; at the default
+    rates a few percent are clipped."""
+    if not model.epoch_stats or model.config is None:
+        return None
+    last = model.epoch_stats[-1]
+    if last.rows_clipped <= CLIP_WARNING_SHARE * last.row_updates:
+        return None
+    return (
+        f"the final epoch clipped {last.rows_clipped / last.row_updates:.0%} of its row totals "
+        f"({last.rows_clipped} of {last.row_updates}) at learning rate {model.config.learning_rate:g}; "
+        "the vectors may mean little, a lower learning rate should help"
+    )
 
 
 # --------------------------------------------------------------------------

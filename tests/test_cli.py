@@ -74,7 +74,11 @@ def _turtle(triples) -> str:
 
 def assert_peak_memory(manifest):
     """A command records this process's VmHWM in MB, which can only have
-    grown since; without ``/proc/self/status`` it records nothing."""
+    grown since; without ``/proc/self/status`` it records nothing. It also
+    records the minor page faults so far, an integer that can only have grown."""
+    faults = manifest["memory.minor_faults"]
+    assert faults.isdigit()
+    assert 0 < int(faults) <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     status = Path("/proc/self/status")
     if not status.exists():
         assert "memory.peak_mb" not in manifest
@@ -331,6 +335,30 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "error: non-finite loss" in err
         assert "Traceback" not in err
+
+    def test_clipping_learning_rate_warns_and_exits_0(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        _, corpus = run_walk(tmp_path, graph_file, entities_file)
+        capsys.readouterr()
+        model_file = tmp_path / "m.txt"
+        rc = main(["train", "--corpus", str(corpus), "--learning-rate", "1e30", "--epochs", "1",
+                   "--out", str(model_file)])
+        assert rc == 0
+        manifest = read_manifest(manifest_path(model_file))
+        clipped, updates = int(manifest["epoch.1.rows_clipped"]), int(manifest["epoch.1.row_updates"])
+        assert clipped > updates / 2
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert f"clipped {clipped / updates:.0%} of its row totals" in warnings[0]
+        assert "learning rate 1e+30" in warnings[0]
+
+    def test_default_learning_rate_prints_no_warning(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        _, corpus = run_walk(tmp_path, graph_file, entities_file)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--epochs", "2", "--out", str(tmp_path / "m.txt")])
+        assert rc == 0
+        assert "warning" not in capsys.readouterr().err
 
     # 10^11 floats: the input table (--dim) or the first chunk's negative
     # draws (--negatives) need hundreds of GiB, past the cap

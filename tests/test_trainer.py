@@ -1,4 +1,6 @@
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_walk_examples as per_walk
+import unbuffered_kernel
 from fixtures import bidirectional_neighborhood, two_cluster_fixture
 from kgembed.trainer import (
     MODES,
     _MAX_ROW_UPDATE,
+    _WorkBuffers,
     _add_rows_clipped,
     _corpus_ids,
     _examples,
@@ -19,6 +23,7 @@ from kgembed.trainer import (
     ModelFormatError,
     TrainConfig,
     UnknownTokenError,
+    clipping_warning,
     build_vocabulary,
     load_model,
     save_model,
@@ -223,6 +228,25 @@ class TestTraining:
         text = caplog.text
         assert "epoch=1" in text and "epoch=2" in text
         assert "tokens/sec=" in text and "loss=" in text
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_warns_when_final_epoch_clips_most_rows(self, cluster_corpus, caplog, mode):
+        _, _, _, sentences = cluster_corpus
+        with caplog.at_level(logging.WARNING, logger="kgembed"):
+            model = train(sentences, TrainConfig(mode=mode, dimension=8, epochs=1, initial_learning_rate=1e30))
+        last = model.epoch_stats[-1]
+        assert last.rows_clipped > last.row_updates / 2
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in warnings] == [clipping_warning(model)]
+        assert "learning rate 1e+30" in warnings[0].getMessage()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_default_rate_warns_of_nothing(self, cluster_corpus, caplog, mode):
+        _, _, _, sentences = cluster_corpus
+        with caplog.at_level(logging.WARNING, logger="kgembed"):
+            model = train(sentences, TrainConfig(mode=mode, dimension=8, epochs=2))
+        assert clipping_warning(model) is None
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     @pytest.mark.parametrize("mode", ["sg", "cbow"])
     def test_epoch_stats_recorded(self, cluster_corpus, mode):
@@ -513,6 +537,119 @@ class TestGroupedNegatives:
         np.testing.assert_allclose(w_out, ref_out, **F32_TOL)
         assert updated == np.unique(live_slots).size + np.unique(np.concatenate([positives, negatives.ravel()])).size
         assert 0 <= clipped <= updated
+
+
+# --------------------------------------------------------------------------
+# One buffer set reused across chunks, against the kernel that allocated
+# every temporary: the same bytes, whatever the buffers held before
+# --------------------------------------------------------------------------
+
+
+class TestWorkBuffers:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(MODES),
+        vocab=st.integers(1, 30),
+        dim=st.integers(1, 8),
+        batch=st.integers(1, 40),
+        cap=st.integers(1, 24),
+        window=st.integers(1, 3),
+        k=st.integers(0, 4),
+        lr=st.sampled_from([0.025, 0.5, 4.0]),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    # a full chunk of 13 examples in 3 groups of 5 (two padding rows), then 9
+    # in 2 groups of 5 (one), then a single example or a full chunk again
+    @example(seed=0, mode="sg", vocab=20, dim=5, batch=13, cap=6, window=1, k=3, lr=0.5, shares=[0.7, 0.05])
+    @example(seed=1, mode="cbow", vocab=20, dim=5, batch=13, cap=6, window=2, k=3, lr=0.5, shares=[0.7, 1.0])
+    @example(seed=2, mode="sg", vocab=9, dim=4, batch=12, cap=1, window=1, k=2, lr=4.0, shares=[1.0, 0.5])  # G = B
+    @example(seed=3, mode="cbow", vocab=9, dim=4, batch=12, cap=16, window=3, k=0, lr=0.5, shares=[1.0, 0.3])  # negatives=0
+    def test_same_bytes_as_unbuffered_kernel(self, seed, mode, vocab, dim, batch, cap, window, k, lr, shares):
+        rng = np.random.default_rng(seed)
+        w_in, w_out = _tables(rng, vocab, dim)
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        lr = np.float32(lr)
+        width = 1 if mode == "sg" else 2 * window
+        # sized as train() sizes it, with groups of at most cap examples
+        work = _WorkBuffers(batch, -(-batch // cap), width, k, dim, vocab)
+        for buffer in vars(work).values():  # as if a diverging chunk had run before
+            buffer.fill(np.nan if buffer.dtype.kind == "f" else -1)
+        for share in [1.0, *shares]:  # the first chunk is a full one
+            b = max(1, round(share * batch))
+            targets = rng.integers(0, vocab, size=b)
+            if mode == "sg":
+                inputs, mask = _sg_examples(rng.integers(0, vocab, size=b))
+            else:
+                inputs = rng.integers(0, vocab, size=(b, width))
+                mask = (rng.random((b, width)) < 0.6).astype(np.float32)
+                mask[np.arange(b), rng.integers(0, width, size=b)] = 1.0  # one live slot at least
+            negatives, _ = _group_draws(rng, targets, cap, vocab, k)
+
+            expected = unbuffered_kernel.process_chunk(ref_in, ref_out, inputs, mask, targets, negatives, lr)
+            got = _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr, work)
+
+            assert got == expected  # the loss compared with ==
+            assert w_in.tobytes() == ref_in.tobytes()
+            assert w_out.tobytes() == ref_out.tobytes()
+
+
+    def test_no_two_chunks_in_flight_share_a_buffer_set(self, cluster_corpus, monkeypatch):
+        import kgembed.trainer as trainer
+
+        _, _, _, sentences = cluster_corpus
+        lock, in_flight, seen, overlaps = threading.Lock(), set(), set(), []
+        kernel = trainer._process_chunk
+
+        def tracked(*args):
+            work = args[-1]
+            with lock:
+                if id(work) in in_flight:
+                    overlaps.append(id(work))
+                in_flight.add(id(work))
+                seen.add(id(work))
+            try:
+                return kernel(*args)
+            finally:
+                with lock:
+                    in_flight.discard(id(work))
+
+        monkeypatch.setattr(trainer, "_process_chunk", tracked)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            model = train(sentences, TrainConfig(mode="sg", dimension=8, epochs=2, negatives=3), workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not overlaps
+        assert 1 <= len(seen) <= 4
+        assert np.isfinite(model.vectors).all()
+
+
+class TestRowBoundsCheck:
+    def test_out_of_range_negative_raises(self):
+        rng = np.random.default_rng(0)
+        w_in, w_out = _tables(rng, 5, 3)
+        inputs, mask = _sg_examples(np.array([0, 1, 2]))
+        for bad in (5, -1):
+            negatives = np.array([[1, bad]])
+            with pytest.raises(IndexError, match="out of range"):
+                _process_chunk(w_in, w_out, inputs, mask, np.array([1, 2, 3]), negatives, np.float32(0.1))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("array", ["inputs", "targets"])
+    def test_out_of_range_example_raises_before_training(self, monkeypatch, mode, array):
+        import kgembed.trainer as trainer
+
+        def bad_examples(ids, walk, window, mode):
+            inputs, mask, targets = _examples(ids, walk, window, mode)
+            inputs, targets = inputs.copy(), targets.copy()
+            (inputs if array == "inputs" else targets).flat[-1] = ids.max() + 1
+            return inputs, mask, targets
+
+        monkeypatch.setattr(trainer, "_examples", bad_examples)
+        with pytest.raises(IndexError, match="out of range"):
+            train([["a", "b", "c"], ["b", "c", "a"]], TrainConfig(mode=mode, dimension=4, epochs=1))
 
 
 class TestCbowWindow:
