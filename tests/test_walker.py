@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -409,3 +410,69 @@ class TestCorpusFiles:
         for line in path.read_text().splitlines():
             # the on-disk format never holds a raw space inside a token
             assert all(" " not in tok for tok in line.split(" "))
+
+
+class TestCorpusBytesPinned:
+    """The bytes of corpora from a fixed graph, pinned by sha256: a walker
+    change that must not change walks fails here. The graph has a cycle, a
+    self-loop, a tail-to-head edge that both frontiers share, literals (one
+    with a space to escape) and dead ends in both directions."""
+
+    TRIPLES = [
+        ("http://ex/a", "http://ex/p", "http://ex/b"),
+        ("http://ex/b", "http://ex/p", "http://ex/c"),
+        ("http://ex/c", "http://ex/q", "http://ex/a"),
+        ("http://ex/b", "http://ex/q", "http://ex/b"),
+        ("http://ex/b", "http://ex/r", '"New York"@en'),
+        ("http://ex/c", "http://ex/r", '"42"'),
+        ("http://ex/d", "http://ex/p", "http://ex/a"),
+        ("http://ex/a", "http://ex/q", "http://ex/e"),
+        ("http://ex/f", "http://ex/r", '"x y"'),
+        ("http://ex/e", "http://ex/p", "http://ex/a"),
+    ]
+    ENTITIES = ["http://ex/a", "http://ex/b", "http://ex/d", "http://ex/e", "http://ex/f"]
+    CASES = {  # name: (strategy, include_literals)
+        "light": ("light", False),
+        "light-literals": ("light", True),
+        "classic": ("classic", False),
+        "classic-literals": ("classic", True),
+    }
+    # recorded before the light and classic walks shared one step function
+    DIGESTS = {
+        ("light", ".txt"): "dc2a190b4cfef408da52bfade18902a737fbbfaa27a9ea48d34647f1237db36e",
+        ("light", ".txt.gz"): "1e2648cf793b8ef9f070f4eeb8b6cc9ac26730f4ec90b741773b106bed2fda15",
+        ("light-literals", ".txt"): "babadaff4bfa7d4b84dc7afe401468d8298a9244735f55c211846235c1f033e6",
+        ("light-literals", ".txt.gz"): "879385336a46a3a8631457a3824794272d1f02c269242db9ad3c3170a7e66c5d",
+        ("classic", ".txt"): "0f3c52fd1693b582920c046550df0b45c9e584112bb0f19a8a24eb1f22a6b04a",
+        ("classic", ".txt.gz"): "a0571ad4a05daa731f6576fa02bef6b8bcae1d42505e2efec535b1935d1df7f0",
+        ("classic-literals", ".txt"): "5d00c2ead06bc9737e1ed8bfb4a94b54fd32a1dbbeb0b36bf405932e1afaa1ef",
+        ("classic-literals", ".txt.gz"): "0dba95072d2f68c69e148377bfe093bfc5babc53203ff8bb985786c5ef95eb9e",
+    }
+
+    def digest(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_write_corpus(self, tmp_path, case, suffix):
+        strategy, literals = self.CASES[case]
+        g = build_graph(self.TRIPLES)
+        cfg = WalkConfig(walks_per_entity=6, depth=3, strategy=strategy, include_literals=literals, seed=5)
+        generate = generate_light_walks if strategy == "light" else generate_classic_walks
+        out = tmp_path / f"corpus{suffix}"
+        write_corpus(generate(g, self.ENTITIES, cfg), out)
+        assert self.digest(out) == self.DIGESTS[case, suffix]
+
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cli_walk(self, tmp_path, case, suffix):
+        strategy, literals = self.CASES[case]
+        graph_file, entities_file = tmp_path / "g.nt", tmp_path / "e.txt"
+        write_ntriples(self.TRIPLES, graph_file)
+        entities_file.write_text("".join(f"{e}\n" for e in self.ENTITIES))
+        out = tmp_path / f"corpus{suffix}"
+        rc = main(["walk", "--graph", str(graph_file), "--entities", str(entities_file), "--mode", strategy,
+                   "--walks", "6", "--depth", "3", "--seed", "5", "--out", str(out),
+                   *(["--include-literals"] if literals else [])])
+        assert rc == 0
+        assert self.digest(out) == self.DIGESTS[case, suffix]
