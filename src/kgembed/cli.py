@@ -51,7 +51,6 @@ from .trainer import (
     TrainConfig,
     TrainingDivergedError,
     UnknownTokenError,
-    clipping_warning,
     load_model,
     save_model,
     train,
@@ -103,12 +102,21 @@ def _message(exc: BaseException) -> str:
     return "".join([str(exc), *(f" ({note})" for note in getattr(exc, "__notes__", ()))])
 
 
+class _StderrFormatter(logging.Formatter):
+    """``warning: <message>`` at WARNING and above, like the CLI's own
+    ``error:`` lines; progress keeps its logger's name."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        prefix = "warning" if record.levelno >= logging.WARNING else record.name
+        return f"{prefix}: {super().format(record)}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # library progress (one line per training epoch) and warnings go to stderr
     handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    handler.setFormatter(_StderrFormatter())
     package_logger = logging.getLogger("kgembed")
     previous_level = package_logger.level
     package_logger.addHandler(handler)
@@ -462,9 +470,6 @@ def cmd_train(args) -> int:
     entries |= _peak_memory()
     append_manifest(manifest_path(args.out), entries)
     print(f"trained {len(model.vocabulary)} vectors of dimension {cfg.dimension} -> {args.out}")
-    warning = clipping_warning(model)
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

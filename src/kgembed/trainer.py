@@ -114,7 +114,7 @@ class _WorkBuffers:
         self.weights = np.empty(out_terms, np.float32)
 
 
-def _add_rows_clipped(table, rows, src, owner, weights, work=None) -> tuple[int, int]:
+def _add_rows_clipped(table, rows, src, owner, weights, work: _WorkBuffers) -> tuple[int, int]:
     """Add ``weights[j] * src[owner[j]]`` to ``table[rows[j]]`` for every j.
 
     The terms are grouped by target row with a stable sort and summed per
@@ -122,14 +122,12 @@ def _add_rows_clipped(table, rows, src, owner, weights, work=None) -> tuple[int,
     movement per chunk is then clipped to ``_MAX_ROW_UPDATE``: hub rows can
     be hit hundreds of times in one chunk with gradients taken at chunk-start
     values, and unclipped, that stale accumulation can overshoot and blow the
-    tables up. ``work`` (fresh buffers when None) takes the terms and totals.
+    tables up. ``work`` takes the terms and totals.
     Returns the number of rows updated and of rows clipped.
     """
     n = rows.size
     if n == 0:
         return 0, 0
-    if work is None:
-        work = _WorkBuffers(n, 0, 1, 0, table.shape[1], table.shape[0])
     order = np.argsort(rows, kind="stable")
     keys = rows[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -364,7 +362,7 @@ def sgns_gradient(center, context, negatives, lr):
     return v - lr * d_center, u - lr * d_context, negs - lr * d_negs
 
 
-def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr, work=None):
+def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr, work: _WorkBuffers):
     """One negative-sampling step for a chunk of examples. Example b predicts
     the ``w_out`` row ``targets[b]`` from the masked mean ``h[b]`` of its
     ``w_in`` rows ``inputs[b]``; a skip-gram pair is an example with one slot.
@@ -376,13 +374,11 @@ def _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr, work=None)
     moves each of them once, by the sum over its examples. ``G = B`` is the
     per-example step. ``inputs`` and ``targets`` must be rows of the tables
     (:func:`train` checks them once); ``negatives`` are checked here. Every
-    step writes into ``work`` (fresh buffers when None). Returns the summed
+    step writes into ``work``, which must fit the chunk. Returns the summed
     loss, the example count, and the rows updated and clipped in the two
     tables."""
     (b, width), (g, k), dim = inputs.shape, negatives.shape, w_in.shape[1]
     _check_rows(negatives, w_out.shape[0])
-    if work is None:
-        work = _WorkBuffers(b, g, width, k, dim, w_in.shape[0])
     m = -(-b // g)
     n_out = b + g * k
     # overflow in a diverging run is caught by the loss guard, not warned about

@@ -1,16 +1,19 @@
 """Walk corpus generation.
 
-Two strategies over a frozen :class:`~kgembed.graph.KnowledgeGraph`:
+One step function grows every walk over a frozen
+:class:`~kgembed.graph.KnowledgeGraph`. A walk holds two rows of edges: the
+ingoing edges of its head and the outgoing edges of its tail. Every step
+draws uniformly from the union of the two; a backward pick prepends
+``(source, predicate)`` and refreshes only the ingoing row, a forward pick
+appends ``(predicate, target)`` and refreshes only the outgoing row. The two
+strategies differ only in the ingoing row a walk starts with:
 
-* ``classic`` starts at each entity and repeatedly follows a uniformly random
-  outgoing edge, so the entity is always the first token.
-* ``light`` grows each walk bidirectionally around an entity of interest.
-  Every step draws uniformly from the union of the current head's ingoing
-  edges and the current tail's outgoing edges; backward picks prepend
-  ``(source, predicate)`` and refresh only the ingoing frontier, forward
-  picks append ``(predicate, target)`` and refresh only the outgoing
-  frontier. The anchor can therefore end up at the start, middle, or end of
-  the walk.
+* ``light`` grows each walk bidirectionally around an entity of interest. It
+  starts with the entity's ingoing edges, so the anchor can end up at the
+  start, middle, or end of the walk.
+* ``classic`` starts with an empty ingoing row. With nothing to pick
+  backward, the row is never refreshed: the walk follows a uniformly random
+  outgoing edge at every step, and the entity is always the first token.
 
 Walks are token-id sequences alternating node, predicate, node, ... with at
 most ``depth`` node hops beyond the anchor (``2 * depth + 1`` tokens). A dead
@@ -25,7 +28,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graph import KnowledgeGraph, UnknownNodeError
 from .graph_io import escape_token, open_text_read, open_text_write, reading, unescape_token
@@ -67,8 +70,10 @@ class Walk:
 class WalkCorpus:
     """Generated walks plus the entity set they were grown around.
 
-    ``adjacency_lookups`` counts in/out edge-list fetches performed while
-    generating, which is the walker's unit of graph work.
+    ``adjacency_lookups`` counts the edge rows fetched while generating, one
+    per row, which is the walker's unit of graph work: the anchor's two rows
+    (only its outgoing row in a classic walk), then the ingoing row of each
+    new head and the outgoing row of each new tail that is not a literal.
     """
 
     walks: list[Walk]
@@ -123,18 +128,23 @@ def _resolve_entities(g: KnowledgeGraph, entities: Iterable[str | int], missing:
     return ids
 
 
-def _light_walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkConfig, state: list[int]) -> Walk:
+def _walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkConfig, state: list[int]) -> Walk:
     # the walk holds two CSR rows: the in-edges of its head at ia:ib and the
-    # out-edges of its tail at oa:ob; fetching a row counts one lookup
+    # out-edges of its tail at oa:ob; fetching a row counts one lookup. A
+    # classic walk's in-row is empty and, with no backward pick, stays empty
     adjacency = g.adjacency()
     in_offsets, in_s, in_p = adjacency.in_
     out_offsets, out_p, out_o = adjacency.out if cfg.include_literals else adjacency.out_nodes
     literal = adjacency.literal
     tokens = [entity]
     anchor = 0
-    ia, ib = in_offsets[entity], in_offsets[entity + 1]
     oa, ob = out_offsets[entity], out_offsets[entity + 1]
-    state[0] += 2
+    if cfg.strategy == "light":
+        ia, ib = in_offsets[entity], in_offsets[entity + 1]
+        state[0] += 2
+    else:
+        ia = ib = 0
+        state[0] += 1
     for _ in range(cfg.depth):
         # union of edge sets: an out-edge of the tail into the head is also
         # an in-edge of the head, so it is drawn once, as backward. Either
@@ -179,33 +189,18 @@ def _skip_object(objects, start: int, rank: int, head: int) -> int:
     return k
 
 
-def _classic_walk(g: KnowledgeGraph, entity: int, rng: random.Random, cfg: WalkConfig, state: list[int]) -> Walk:
-    adjacency = g.adjacency()
-    offsets, preds, objects = adjacency.out if cfg.include_literals else adjacency.out_nodes
-    literal = adjacency.literal
-    tokens = [entity]
-    current = entity
-    for _ in range(cfg.depth):
-        if literal[current]:
-            break
-        state[0] += 1
-        a, b = offsets[current], offsets[current + 1]
-        if a == b:
-            break
-        j = a + rng.randrange(b - a)
-        current = objects[j]
-        tokens.extend([preds[j], current])
-    return Walk(tokens, 0)
-
-
-def _generate(g: KnowledgeGraph, ids: list[int], cfg: WalkConfig, step: Callable[..., Walk]) -> tuple[list[Walk], int]:
+def _generate(g: KnowledgeGraph, entities: Iterable[str | int] | None, cfg: WalkConfig) -> WalkCorpus:
+    """``cfg.walks_per_entity`` walks around each of ``entities``, or around
+    every subject node when ``entities`` is None."""
+    missing: list[str] = []
+    ids = g.subject_ids() if entities is None else _resolve_entities(g, entities, missing)
     state = [0]
     walks = [
-        step(g, entity, _walk_rng(cfg.seed, entity, k), cfg, state)
+        _walk(g, entity, _walk_rng(cfg.seed, entity, k), cfg, state)
         for entity in ids
         for k in range(cfg.walks_per_entity)
     ]
-    return walks, state[0]
+    return WalkCorpus(walks, ids, cfg, graph=g, missing_entities=missing, adjacency_lookups=state[0])
 
 
 def generate_light_walks(
@@ -227,10 +222,7 @@ def generate_light_walks(
     cfg = cfg or WalkConfig(strategy="light")
     if cfg.strategy != "light":
         raise ValueError("generate_light_walks needs cfg.strategy == 'light'")
-    missing: list[str] = []
-    ids = _resolve_entities(g, entities, missing)
-    walks, lookups = _generate(g, ids, cfg, _light_walk)
-    return WalkCorpus(walks, ids, cfg, graph=g, missing_entities=missing, adjacency_lookups=lookups)
+    return _generate(g, entities, cfg)
 
 
 def generate_classic_walks(
@@ -243,10 +235,7 @@ def generate_classic_walks(
     cfg = cfg or WalkConfig(strategy="classic")
     if cfg.strategy != "classic":
         raise ValueError("generate_classic_walks needs cfg.strategy == 'classic'")
-    missing: list[str] = []
-    ids = g.subject_ids() if entities is None else _resolve_entities(g, entities, missing)
-    walks, lookups = _generate(g, ids, cfg, _classic_walk)
-    return WalkCorpus(walks, ids, cfg, graph=g, missing_entities=missing, adjacency_lookups=lookups)
+    return _generate(g, entities, cfg)
 
 
 def write_corpus(corpus: WalkCorpus, path: str | Path) -> int:

@@ -256,6 +256,14 @@ class TestWalkCommand:
         walks = [line.split(" ") for line in out.read_text(encoding="utf-8").split("\n") if line]
         assert len(walks) == 12 and all(iri in walk for walk in walks)
 
+    def test_missing_entity_warns_with_warning_prefix(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        ghost = "http://ex/ghost"
+        entities_file.write_text(entities_file.read_text() + f"{ghost}\n")
+        rc, _ = run_walk(tmp_path, graph_file, entities_file)
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [f"warning: missing-entity: {ghost}"]
+
     def test_empty_entity_file_exit_4(self, workspace, tmp_path):
         _, graph_file, _, _, _ = workspace
         empty = tmp_path / "none.txt"
@@ -351,6 +359,17 @@ class TestTrainCommand:
         assert len(warnings) == 1
         assert f"clipped {clipped / updates:.0%} of its row totals" in warnings[0]
         assert "learning rate 1e+30" in warnings[0]
+
+    def test_clipping_warning_printed_once(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        _, corpus = run_walk(tmp_path, graph_file, entities_file)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--learning-rate", "1e30", "--epochs", "1",
+                   "--out", str(tmp_path / "m.txt")])
+        assert rc == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "of its row totals" in line]
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: the final epoch clipped")
 
     def test_default_learning_rate_prints_no_warning(self, workspace, capsys):
         tmp_path, graph_file, entities_file, _, _ = workspace

@@ -358,6 +358,13 @@ def _sg_examples(centers):
     return centers[:, None], np.broadcast_to(np.float32(1), (centers.shape[0], 1))
 
 
+def _chunk(w_in, w_out, inputs, mask, targets, negatives, lr):
+    """``_process_chunk`` on a work buffer set sized for this one chunk."""
+    (batch, width), (groups, k) = inputs.shape, negatives.shape
+    work = _WorkBuffers(batch, groups, width, k, w_in.shape[1], w_in.shape[0])
+    return _process_chunk(w_in, w_out, inputs, mask, targets, negatives, lr, work)
+
+
 def _tables(rng, vocab, dim):
     w_in = (rng.random((vocab, dim)) - 0.5).astype(np.float32)
     w_out = (rng.random((vocab, dim)) - 0.5).astype(np.float32)
@@ -395,7 +402,7 @@ class TestReduceByKeyKernel:
 
         expected = table.copy()
         _reference_scatter_add_clipped(expected, rows, weights[:, None] * src[owner])
-        updated, clipped = _add_rows_clipped(table, rows, src, owner, weights)
+        updated, clipped = _add_rows_clipped(table, rows, src, owner, weights, _WorkBuffers(n, 0, 1, 0, dim, vocab))
 
         np.testing.assert_allclose(table, expected, **F32_TOL)
         assert updated == np.unique(rows).size
@@ -424,7 +431,7 @@ class TestReduceByKeyKernel:
 
         ref_in, ref_out = w_in.copy(), w_out.copy()
         ref_loss = _reference_sg_chunk(ref_in, ref_out, centers, contexts, negatives, lr)
-        loss, examples, updated, clipped = _process_chunk(w_in, w_out, *_sg_examples(centers), contexts, negatives, lr)
+        loss, examples, updated, clipped = _chunk(w_in, w_out, *_sg_examples(centers), contexts, negatives, lr)
 
         assert examples == batch
         assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
@@ -456,7 +463,7 @@ class TestReduceByKeyKernel:
 
         ref_in, ref_out = w_in.copy(), w_out.copy()
         ref_loss = _reference_cbow_chunk(ref_in, ref_out, centers, ctx, mask, negatives, lr)
-        loss, examples, updated, clipped = _process_chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
+        loss, examples, updated, clipped = _chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
 
         assert examples == batch
         assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-6)
@@ -518,9 +525,7 @@ class TestGroupedNegatives:
             contexts = rng.integers(0, vocab, size=batch)
             negatives, tiled = _group_draws(rng, contexts, cap, vocab, k)
             ref_loss = _reference_sg_chunk(ref_in, ref_out, centers, contexts, tiled, lr)
-            loss, examples, updated, clipped = _process_chunk(
-                w_in, w_out, *_sg_examples(centers), contexts, negatives, lr
-            )
+            loss, examples, updated, clipped = _chunk(w_in, w_out, *_sg_examples(centers), contexts, negatives, lr)
             live_slots, positives = centers, contexts
         else:
             ctx = rng.integers(0, vocab, size=(batch, 2 * window))
@@ -528,7 +533,7 @@ class TestGroupedNegatives:
             mask[np.arange(batch), rng.integers(0, 2 * window, size=batch)] = 1.0  # one live slot at least
             negatives, tiled = _group_draws(rng, centers, cap, vocab, k)
             ref_loss = _reference_cbow_chunk(ref_in, ref_out, centers, ctx, mask, tiled, lr)
-            loss, examples, updated, clipped = _process_chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
+            loss, examples, updated, clipped = _chunk(w_in, w_out, ctx, mask, centers, negatives, lr)
             live_slots, positives = ctx[mask > 0], centers
 
         assert examples == batch
@@ -634,7 +639,7 @@ class TestRowBoundsCheck:
         for bad in (5, -1):
             negatives = np.array([[1, bad]])
             with pytest.raises(IndexError, match="out of range"):
-                _process_chunk(w_in, w_out, inputs, mask, np.array([1, 2, 3]), negatives, np.float32(0.1))
+                _chunk(w_in, w_out, inputs, mask, np.array([1, 2, 3]), negatives, np.float32(0.1))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("array", ["inputs", "targets"])

@@ -17,9 +17,7 @@ from kgembed.graph_io import write_ntriples
 from kgembed.walker import (
     Walk,
     WalkConfig,
-    _classic_walk,
-    _generate,
-    _light_walk,
+    _walk_rng,
     generate_classic_walks,
     generate_light_walks,
     read_corpus_tokens,
@@ -211,6 +209,14 @@ def _edge_list_classic_walk(g, entity, rng, cfg, state):
     return Walk(tokens, 0)
 
 
+def _reference_walks(g, ids, cfg, walk):
+    """The walks of a reference walk function, on the walker's per-walk RNG
+    streams, and the rows it fetched."""
+    state = [0]
+    walks = [walk(g, e, _walk_rng(cfg.seed, e, k), cfg, state) for e in ids for k in range(cfg.walks_per_entity)]
+    return walks, state[0]
+
+
 class TestLightWalkAgainstCandidateLists:
     NODES = [f"http://ex/n{i}" for i in range(4)]
     OBJECTS = NODES + ['"x"', '"y"@en']  # object index 4 and 5 are literals
@@ -233,9 +239,17 @@ class TestLightWalkAgainstCandidateLists:
         g = build_graph(triples, extra_nodes=self.NODES)
         ids = [g.lookup(n) for n in self.NODES]
         cfg = WalkConfig(walks_per_entity=8, depth=depth, seed=seed, include_literals=literals)
-        assert _generate(g, ids, cfg, _light_walk) == _generate(g, ids, cfg, _candidate_list_light_walk)
-        classic = WalkConfig(walks_per_entity=4, depth=depth, seed=seed, strategy="classic", include_literals=literals)
-        assert _generate(g, ids, classic, _classic_walk) == _generate(g, ids, classic, _edge_list_classic_walk)
+        light = generate_light_walks(g, ids, cfg)
+        reference = _reference_walks(g, light.entities, cfg, _candidate_list_light_walk)
+        assert (light.walks, light.adjacency_lookups) == reference
+        cfg = WalkConfig(walks_per_entity=4, depth=depth, seed=seed, strategy="classic", include_literals=literals)
+        classic = generate_classic_walks(g, ids, cfg)
+        walks, lookups = _reference_walks(g, classic.entities, cfg, _edge_list_classic_walk)
+        assert classic.walks == walks
+        # the walker also counts the row fetched for a tail at full depth, which
+        # the edge-list walk never reads
+        full = sum(len(w.tokens) == 2 * depth + 1 and not g.is_literal_id(w.tokens[-1]) for w in walks)
+        assert classic.adjacency_lookups == lookups + full
 
 
 class TestWalkProperties:
@@ -437,7 +451,7 @@ class TestCorpusBytesPinned:
         "classic": ("classic", False),
         "classic-literals": ("classic", True),
     }
-    # recorded before the light and classic walks shared one step function
+    # the same bytes for both routes: the CLI's graph interns tokens in the same order
     DIGESTS = {
         ("light", ".txt"): "dc2a190b4cfef408da52bfade18902a737fbbfaa27a9ea48d34647f1237db36e",
         ("light", ".txt.gz"): "1e2648cf793b8ef9f070f4eeb8b6cc9ac26730f4ec90b741773b106bed2fda15",
