@@ -499,7 +499,7 @@ def _density_corpus(args) -> WalkCorpus:
         source = manifest_path(args.corpus)
         if source.exists():
             recorded = read_manifest(source).get("entities.path", "")
-            if recorded and recorded != "all" and Path(recorded).exists():
+            if recorded and recorded != "all":
                 entities = _read_entity_file(recorded)
     walks = [Walk(tokens, 0) for tokens in sentences]
     return WalkCorpus(walks, entities, None)  # type: ignore[arg-type]

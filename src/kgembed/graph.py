@@ -1,16 +1,18 @@
 """In-memory knowledge graph: interned tokens and bidirectional adjacency.
 
-The graph holds no Python object per edge. Each statement is one slot in
-three ``array('i')`` columns (subject, predicate and object ids) in insertion
-order, and the literal and node flags are ``bytearray``s indexed by token id.
-While the graph grows, duplicate statements are caught by a set of packed
-integer keys. Adjacency is read through three compressed sparse row (CSR)
-views, built with a numpy stable argsort: every out-edge, the out-edges to
+The graph is built in two states. While it grows it only appends: each
+statement is one slot in three ``array('i')`` columns (subject, predicate
+and object ids) in insertion order, duplicates included, and the literal and
+``add_node`` flags are ``bytearray``s indexed by token id.
+:meth:`KnowledgeGraph.freeze` then works once over the three columns: it
+drops every duplicate statement but the first, flags subjects and
+non-literal objects as nodes, and builds three compressed sparse row (CSR)
+views with a numpy stable argsort: every out-edge, the out-edges to
 non-literal objects, and the in-edges of non-literal objects. A view is an
 offset array per token id plus two int32 edge columns, and each row keeps
-insertion order. :meth:`KnowledgeGraph.freeze` builds the views and drops the
-key set. On an unfrozen graph the views are built when first read and
-dropped by the next change.
+insertion order. The first read of statements, node flags or rows freezes
+the graph, so no reader sees a duplicate. The graph holds no Python object
+per edge.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _rows(keys: np.ndarray, order: np.ndarray, n: int, first: np.ndarray, second
 
 
 class KnowledgeGraph:
-    """Deduplicated triple store over dense integer ids.
+    """Triple store over dense integer ids; duplicates are dropped at freeze.
 
     Tokens (IRIs, blank node labels, literal tokens) are interned in
     first-seen order, so ids are stable and bit-reproducible for a given
@@ -76,106 +78,98 @@ class KnowledgeGraph:
     maps a subject to ``(predicate, object)`` pairs and includes literal
     objects; in-adjacency maps an object to ``(subject, predicate)`` pairs
     and never contains literals, so backward traversal cannot enter through
-    a literal. After :meth:`freeze` the graph is immutable and safe to share
-    across concurrent readers.
+    a literal. :meth:`freeze`, or the first read of statements, node flags
+    or rows, makes the graph immutable and safe to share across concurrent
+    readers.
     """
 
     def __init__(self):
         self._tokens: list[str] = []
         self._index: dict[str, int] = {}
         self._literal = bytearray()
-        self._node = bytearray()
+        self._node = bytearray()  # add_node's flags; freeze adds the rest
         self._s = array("i")
         self._p = array("i")
         self._o = array("i")
-        self._seen: set[int] | None = set()  # (s << 64) | (p << 32) | o
-        self._adjacency: Adjacency | None = None
-        self._frozen = False
+        self._adjacency: Adjacency | None = None  # set by freeze
 
     # -- construction -----------------------------------------------------
 
     def intern(self, token: str) -> int:
         i = self._index.get(token)
         if i is None:
-            if self._frozen:
+            if self._adjacency is not None:
                 raise GraphFrozenError("graph is frozen; no new tokens can be interned")
             i = len(self._tokens)
             self._index[token] = i
             self._tokens.append(token)
             self._literal.append(is_literal_token(token))
             self._node.append(0)
-            self._adjacency = None
         return i
 
     def add_node(self, token: str) -> int:
         """Intern a token as a graph node even if no triple mentions it."""
         if is_literal_token(token):
             raise ValueError(f"literal token cannot be a node: {token!r}")
+        if self._adjacency is not None:
+            raise GraphFrozenError("graph is frozen; no nodes can be added")
         i = self.intern(token)
         self._node[i] = 1
         return i
 
-    def add_triple(self, subject: str, predicate: str, object: str) -> bool:
-        """Insert one statement; returns False if it was already present."""
-        return self.add_all((Triple(subject, predicate, object),)) == 1
+    def add_triple(self, subject: str, predicate: str, object: str) -> None:
+        """Append one statement."""
+        self.add_all((Triple(subject, predicate, object),))
 
-    def _add_edge_ids(self, s: int, p: int, o: int) -> bool:
-        seen = self._seen
-        size = len(seen)
-        seen.add(s << 64 | p << 32 | o)
-        if len(seen) == size:
-            return False
-        self._s.append(s)
-        self._p.append(p)
-        self._o.append(o)
-        self._node[s] = 1
-        if not self._literal[o]:
-            self._node[o] = 1
-        self._adjacency = None
-        return True
-
-    def add(self, triple: Triple) -> bool:
-        return self.add_all((triple,)) == 1
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert every statement in order; returns the number that were new.
-        Subject, predicate and object are interned in that order. A term
-        already interned costs one dictionary lookup; ``intern`` runs only for
-        unseen terms."""
-        if self._frozen:
+    def add_all(self, triples: Iterable[Triple]) -> None:
+        """Append every statement in order. Subject, predicate and object are
+        interned in that order. A term already interned costs one dictionary
+        lookup; ``intern`` runs only for unseen terms."""
+        if self._adjacency is not None:
             raise GraphFrozenError("graph is frozen; no triples can be added")
-        get, intern, add_edge = self._index.get, self.intern, self._add_edge_ids
-        literal = self._literal
-        before = len(self._s)
+        get, intern, literal = self._index.get, self.intern, self._literal
+        append_s, append_p, append_o = self._s.append, self._p.append, self._o.append
         for subject, predicate, obj in triples:
             s, p, o = get(subject), get(predicate), get(obj)
             if s is None or p is None or literal[s] or literal[p]:
                 _reject_literals(subject, predicate)
                 s, p = intern(subject), intern(predicate)
-            add_edge(s, p, intern(obj) if o is None else o)
-        return len(self._s) - before
+            append_s(s)
+            append_p(p)
+            append_o(intern(obj) if o is None else o)
 
     def freeze(self) -> "KnowledgeGraph":
-        """Build the CSR views and drop the duplicate-key set; no statement or
-        token can be added afterwards."""
-        self.adjacency()
-        self._seen = None
-        self._frozen = True
+        """Drop duplicate statements, keeping the first of each in insertion
+        order; flag every subject and non-literal object as a node; build the
+        CSR views. Runs once; afterwards no statement, node or token can be
+        added."""
+        if self._adjacency is not None:
+            return self
+        n = len(self._tokens)
+        s, p, o = (np.frombuffer(column, dtype=np.intc) for column in (self._s, self._p, self._o))
+        sp = s.astype(np.int64) * n + p  # subject and predicate as one sort key
+        by_key = np.lexsort((o, sp))  # stable: equal statements keep insertion order
+        first = np.ones(len(s), dtype=bool)
+        first[1:] = (np.diff(sp[by_key]) != 0) | (np.diff(o[by_key]) != 0)
+        if not first.all():
+            keep = np.sort(by_key[first])
+            s, p, o = s[keep], p[keep], o[keep]
+            self._s, self._p, self._o = (array("i", column.tobytes()) for column in (s, p, o))
+        to_node = np.frombuffer(self._literal, dtype=np.uint8)[o] == 0
+        node = np.frombuffer(self._node, dtype=np.uint8)
+        node[s] = 1
+        node[o[to_node]] = 1
+        by_subject = np.argsort(s, kind="stable")
+        out = _rows(s, by_subject, n, p, o)
+        out_nodes = out if to_node.all() else _rows(s, by_subject[to_node[by_subject]], n, p, o)
+        into_nodes = np.flatnonzero(to_node)
+        in_ = _rows(o, into_nodes[np.argsort(o[into_nodes], kind="stable")], n, s, p)
+        self._adjacency = Adjacency(out, out_nodes, in_, self._literal)
         return self
 
     def adjacency(self) -> Adjacency:
-        """The CSR views, built on first read after the last change."""
-        if self._adjacency is None:
-            n = len(self._tokens)
-            s, p, o = (np.frombuffer(column, dtype=np.intc) for column in (self._s, self._p, self._o))
-            to_node = np.frombuffer(self._literal, dtype=np.uint8)[o] == 0
-            by_subject = np.argsort(s, kind="stable")
-            out = _rows(s, by_subject, n, p, o)
-            out_nodes = out if to_node.all() else _rows(s, by_subject[to_node[by_subject]], n, p, o)
-            into_nodes = np.flatnonzero(to_node)
-            in_ = _rows(o, into_nodes[np.argsort(o[into_nodes], kind="stable")], n, s, p)
-            self._adjacency = Adjacency(out, out_nodes, in_, self._literal)
-        return self._adjacency
+        """The CSR views; the first read freezes the graph."""
+        return self.freeze()._adjacency
 
     # -- lookup -------------------------------------------------------------
 
@@ -195,11 +189,11 @@ class KnowledgeGraph:
 
     @property
     def num_nodes(self) -> int:
-        return self._node.count(1)
+        return self.freeze()._node.count(1)
 
     @property
     def num_edges(self) -> int:
-        return len(self._s)
+        return len(self.freeze()._s)
 
     @property
     def num_tokens(self) -> int:
@@ -207,7 +201,7 @@ class KnowledgeGraph:
 
     def is_node(self, i: int) -> bool:
         self._check_id(i)
-        return bool(self._node[i])
+        return bool(self.freeze()._node[i])
 
     def is_literal_id(self, i: int) -> bool:
         self._check_id(i)
@@ -232,9 +226,8 @@ class KnowledgeGraph:
         return adjacency.in_.size(v), adjacency.out.size(v)
 
     def nodes(self) -> Iterator[int]:
-        for i, flag in enumerate(self._node):
-            if flag:
-                yield i
+        node = self.freeze()._node
+        return (i for i, flag in enumerate(node) if flag)
 
     def subject_ids(self) -> list[int]:
         """Ids of every node with at least one outgoing edge, ascending."""
@@ -242,6 +235,7 @@ class KnowledgeGraph:
         return np.flatnonzero(np.diff(offsets)).tolist()
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
+        self.freeze()
         return zip(self._s, self._p, self._o)
 
     def resolved_triples(self) -> Iterator[Triple]:

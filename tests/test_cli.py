@@ -219,6 +219,23 @@ class TestWalkCommand:
         assert "zero" in from_nt.read_text()
         assert from_ttl.read_bytes() == from_nt.read_bytes()
 
+    def test_repeated_statements_within_and_across_graph_files(self, workspace):
+        """A statement repeated in one --graph file and across two is stored
+        once: the corpus is the one the deduplicated file gives, and
+        ``graph.edges`` counts distinct statements."""
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        lines = graph_file.read_text().splitlines(keepends=True)
+        half = len(lines) // 2
+        first, second = tmp_path / "first.nt", tmp_path / "second.nt"
+        first.write_text("".join(lines[:half] + lines[: half // 2] + lines[half:] + lines[-3:]))
+        second.write_text("".join(lines[::3]))
+        _, want = run_walk(tmp_path, graph_file, entities_file, "distinct.txt")
+        _, got = run_walk(tmp_path, first, entities_file, "repeated.txt", extra=("--graph", str(second)))
+        assert got.read_bytes() == want.read_bytes()
+        manifest = read_manifest(manifest_path(got))
+        assert manifest["parse.triples"] == str(len(lines) + half // 2 + 3 + len(lines[::3]))
+        assert manifest["graph.edges"] == str(len(set(lines))) == str(len(lines))
+
     def test_malformed_turtle_exit_4_names_the_file(self, workspace, capsys):
         tmp_path, _, entities_file, _, _ = workspace
         ttl_file = tmp_path / "graph.ttl"
@@ -560,6 +577,29 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert ",density,nodes," in out
         assert ",density,mean_anchor_degree," in out
+
+    def test_density_unreadable_manifest_entities_exit_3(self, workspace, monkeypatch, capsys):
+        """The manifest records the entity file as given, relative to the walk's
+        directory; from a sibling directory the read fails instead of silently
+        using no anchors."""
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        walk_dir, other_dir = tmp_path / "walk", tmp_path / "other"
+        walk_dir.mkdir()
+        other_dir.mkdir()
+        (walk_dir / "entities.txt").write_bytes(entities_file.read_bytes())
+        monkeypatch.chdir(walk_dir)
+        rc, corpus = run_walk(walk_dir, graph_file, "entities.txt")
+        assert rc == 0
+        model_file = tmp_path / "model.txt"
+        main(["train", "--corpus", str(corpus), "--dim", "8", "--epochs", "1", "--out", str(model_file)])
+        density = ["eval", "--model", str(model_file), "--task", "density", "--corpus", str(corpus)]
+        assert main(density) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if ",mean_anchor_degree," in line)
+        assert float(row.rsplit(",", 1)[1]) > 0
+        monkeypatch.chdir(other_dir)
+        assert main(density) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "entities.txt" in err
 
     def test_gold_task_without_gold_is_usage_error(self, trained):
         _, _, model_file, _, _ = trained

@@ -24,10 +24,12 @@ class TestAdjacency:
 
     def test_duplicate_triple_leaves_adjacency_unchanged(self):
         g = KnowledgeGraph()
-        assert g.add_triple(A, P, B) is True
-        assert g.add_triple(A, P, B) is False
-        assert len(g.out_edges(g.lookup(A))) == 1
+        g.add_triple(A, P, B)
+        g.add_triple(A, P, B)
+        assert g.out_edges(g.lookup(A)) == [(g.lookup(P), g.lookup(B))]
+        assert g.in_edges(g.lookup(B)) == [(g.lookup(A), g.lookup(P))]
         assert g.num_edges == 1
+        assert list(g.triples()) == [(0, 1, 2)]
 
     def test_in_edges(self):
         g = build_graph([(A, P, B)])
@@ -112,45 +114,7 @@ class TestLiterals:
             g.add_triple(A, self.LIT, B)
 
 
-def _state(g: KnowledgeGraph):
-    # the node count is _node.count(1), and adjacency() holds every CSR row
-    return (g._tokens, g._index, g._literal, g._node, g._s, g._p, g._o, g._seen, g.adjacency())
-
-
-# mostly IRIs, so that most lists get past the first literal subject or predicate
-_TOKENS = st.sampled_from([A, B, C, P, Q, A, B, C, P, Q, "_:x", TestLiterals.LIT, '"x"@en'])
-
-
 class TestAddAll:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.tuples(_TOKENS, _TOKENS, _TOKENS), max_size=25),
-        st.lists(_TOKENS, max_size=3),
-        st.integers(0, 25),
-    )
-    def test_matches_add_one_at_a_time(self, triples, preloaded, cut):
-        """``add_all`` against the ``add`` loop it replaced, over two calls:
-        same ids, adjacency, node flags, stored triples, counts and
-        ValueError."""
-        graphs, results = [], []
-        for bulk in (False, True):
-            g = KnowledgeGraph()
-            for token in preloaded:
-                g.intern(token)
-            result = []
-            try:
-                for part in (triples[:cut], triples[cut:]):
-                    if bulk:
-                        result.append(g.add_all(Triple(*t) for t in part))
-                    else:
-                        result.append(sum(1 for t in part if g.add(Triple(*t))))
-            except ValueError as exc:
-                result.append(str(exc))
-            graphs.append(_state(g))
-            results.append(result)
-        assert results[0] == results[1]
-        assert graphs[0] == graphs[1]
-
     def test_frozen(self):
         g = build_graph([(A, P, B)])
         with pytest.raises(GraphFrozenError):
@@ -171,8 +135,8 @@ class TestLifecycle:
     def test_rebuild_from_edge_dump(self):
         g = random_graph(seed=9, n_nodes=25, n_edges=70)
         rebuilt = KnowledgeGraph()
-        for t in g.resolved_triples():
-            rebuilt.add(t)
+        dump = list(g.resolved_triples())
+        rebuilt.add_all(dump + dump[::2])  # the repeats are dropped at freeze
         assert rebuilt.num_nodes == g.num_nodes
         assert rebuilt.num_edges == g.num_edges
         for v in range(rebuilt.num_tokens):
@@ -188,6 +152,49 @@ class TestLifecycle:
     def test_subject_ids(self):
         g = build_graph([(A, P, B), (B, P, C)])
         assert [g.resolve(i) for i in g.subject_ids()] == [A, B]
+
+    def test_empty_graph_freezes(self):
+        g = KnowledgeGraph().freeze()
+        assert (g.num_tokens, g.num_nodes, g.num_edges) == (0, 0, 0)
+        assert list(g.triples()) == list(g.nodes()) == g.subject_ids() == []
+        assert g.adjacency().out.offsets.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda g: g.num_nodes, id="num_nodes"),
+            pytest.param(lambda g: g.num_edges, id="num_edges"),
+            pytest.param(lambda g: g.is_node(0), id="is_node"),
+            pytest.param(lambda g: list(g.nodes()), id="nodes"),
+            pytest.param(lambda g: list(g.triples()), id="triples"),
+            pytest.param(lambda g: list(g.resolved_triples()), id="resolved_triples"),
+            pytest.param(lambda g: g.adjacency(), id="adjacency"),
+            pytest.param(lambda g: g.out_edges(0), id="out_edges"),
+            pytest.param(lambda g: g.in_edges(0), id="in_edges"),
+            pytest.param(lambda g: g.degree(0), id="degree"),
+            pytest.param(lambda g: g.subject_ids(), id="subject_ids"),
+        ],
+    )
+    def test_first_read_freezes(self, read):
+        g = KnowledgeGraph()
+        g.add_triple(A, P, B)
+        g.add_triple(A, P, B)
+        read(g)
+        assert g.num_edges == 1
+        with pytest.raises(GraphFrozenError):
+            g.add_triple(A, P, C)
+        with pytest.raises(GraphFrozenError):
+            g.add_all([Triple(A, P, B)])
+        with pytest.raises(GraphFrozenError):
+            g.add_node(P)  # known token: it must not become a node either
+        assert not g.is_node(g.lookup(P))
+
+    def test_interner_reads_do_not_freeze(self):
+        g = KnowledgeGraph()
+        g.add_triple(A, P, B)
+        assert (g.lookup(B), g.resolve(0), g.num_tokens, g.is_literal_id(2)) == (2, A, 3, False)
+        g.add_triple(B, P, C)
+        assert g.num_edges == 2
 
 
 def _observe(g):
@@ -205,16 +212,32 @@ def _observe(g):
 
 
 def _apply(g, op):
-    """Run one construction step; a ValueError is part of the result."""
+    """Run one construction step; ``intern`` and ``add_node`` return the id,
+    and a ValueError is part of the result."""
     kind, arg = op
     try:
+        if kind == "intern":
+            return g.intern(arg)
         if kind == "node":
             return g.add_node(arg)
         if kind == "triple":
-            return g.add_triple(*arg)
-        return g.add_all(Triple(*t) for t in arg)
+            g.add_triple(*arg)
+        else:
+            g.add_all(Triple(*t) for t in arg)
     except ValueError as exc:
         return ("ValueError", str(exc))
+    return None
+
+
+def _same_after_freeze(steps):
+    """Run the steps on both graphs, then freeze both and compare."""
+    g, ref = KnowledgeGraph(), TupleListGraph()
+    for step in steps:
+        assert _apply(g, step) == _apply(ref, step)
+    g.freeze()
+    ref.freeze()
+    assert _observe(g) == _observe(ref)
+    return g
 
 
 # self-loops and duplicates come from the small token set; literals reach
@@ -222,28 +245,49 @@ def _apply(g, op):
 _GRAPH_TOKENS = st.sampled_from([A, B, C, P, A, B, C, P, "_:x", TestLiterals.LIT, '"x"@en'])
 _TRIPLE = st.tuples(_GRAPH_TOKENS, _GRAPH_TOKENS, _GRAPH_TOKENS)
 _STEP = st.one_of(
+    st.tuples(st.just("intern"), _GRAPH_TOKENS),
     st.tuples(st.just("node"), _GRAPH_TOKENS),
     st.tuples(st.just("triple"), _TRIPLE),
     st.tuples(st.just("all"), st.lists(_TRIPLE, max_size=12)),
 )
+# IRIs only in subject and predicate position, so no add_all call stops
+# early and every repeat reaches the columns
+_IRI = st.sampled_from([A, B, C, P, "_:x"])
+_VALID_TRIPLE = st.tuples(_IRI, _IRI, st.sampled_from([A, B, C, "_:x", TestLiterals.LIT, '"x"@en']))
 
 
 class TestAgainstTupleListGraph:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_STEP, max_size=8))
-    def test_same_graph_before_and_after_freeze(self, steps):
-        """The flat-array graph against the tuple-list one it replaced: the
-        same results and errors per step, and the same ids, flags, counts,
-        rows and triples after every step (each read builds the CSR views
-        that the next step drops) and after ``freeze``."""
-        g, ref = KnowledgeGraph(), TupleListGraph()
-        for step in steps:
-            assert _apply(g, step) == _apply(ref, step)
-            assert _observe(g) == _observe(ref)
-        g.freeze()
-        ref.freeze()
-        assert g._seen is None
-        assert _observe(g) == _observe(ref)
-        for graph in (g, ref):
-            with pytest.raises(GraphFrozenError):
-                graph.add_triple(A, P, "http://ex/new")
+    def test_same_graph_after_freeze(self, steps):
+        """The two-state graph against the tuple-list one that drops
+        duplicates as it goes: the same ids and errors per step,
+        and after ``freeze`` the same ids, flags, counts, rows and triples."""
+        g = _same_after_freeze(steps)
+        with pytest.raises(GraphFrozenError):
+            g.add_triple(A, P, "http://ex/new")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_VALID_TRIPLE, min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), max_size=40),
+        st.lists(st.integers(0, 40), max_size=4),
+        st.lists(_GRAPH_TOKENS, max_size=3),
+        st.lists(_TRIPLE, max_size=3),
+    )
+    def test_heavy_duplication_over_several_add_all_calls(self, distinct, picks, cuts, nodes, tail):
+        """Few distinct statements, each repeated many times, split over
+        several ``add_all`` calls with ``add_node`` steps between them and a
+        last call that may raise: freeze keeps the first of each statement
+        in insertion order."""
+        triples = [distinct[i % len(distinct)] for i in picks]
+        bounds = [0, *sorted(cuts), len(triples)]
+        steps = []
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            steps.append(("all", triples[a:b]))
+            if k < len(nodes):
+                steps.append(("node", nodes[k]))
+        steps.append(("all", tail))
+        g = _same_after_freeze(steps)
+        first_seen = list(dict.fromkeys(triples))
+        assert list(g.resolved_triples())[: len(first_seen)] == first_seen

@@ -190,7 +190,7 @@ class TestBlockReader:
 
 def general_only(data: bytes, *, scope: str = "f0"):
     """Reference loader: every line goes to ``_parse_nt_statement``, and the
-    graph is built one ``add`` at a time. Returns (graph, report)."""
+    graph is built one ``add_triple`` at a time. Returns (graph, report)."""
     report = ParseReport()
     graph = KnowledgeGraph()
     lines = data.split(b"\n")
@@ -211,7 +211,7 @@ def general_only(data: bytes, *, scope: str = "f0"):
             report.errors.append((lineno, str(exc)))
             continue
         report.triples_emitted += 1
-        graph.add(triple)
+        graph.add_triple(*triple)
     return graph.freeze(), report
 
 
