@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import sys
 import threading
@@ -15,6 +16,7 @@ from kgembed.trainer import (
     _MAX_ROW_UPDATE,
     _WorkBuffers,
     _add_rows_clipped,
+    _chunk_size,
     _corpus_ids,
     _examples,
     _process_chunk,
@@ -31,6 +33,7 @@ from kgembed.trainer import (
     sgns_loss,
     train,
 )
+from kgembed.cli import main
 from kgembed.vector_ops import cosine
 from kgembed.walker import WalkConfig, generate_light_walks
 
@@ -815,3 +818,67 @@ class TestModelFiles:
         model = self.trained()
         with pytest.raises(UnknownTokenError):
             model.vector("http://ex/ghost")
+
+
+class TestModelBytesPinned:
+    """The bytes of models trained on a fixed corpus, pinned by sha256: a
+    trainer change that must not change models fails here. The corpus is long
+    enough that every case runs several chunks per epoch, so the per-chunk
+    negative streams and learning rates are exercised; every tenth walk ends
+    in a token seen once, which ``min_count=2`` drops."""
+
+    CASES = {  # name: TrainConfig keywords beyond the common ones
+        "sg": {"mode": "sg"},
+        "cbow": {"mode": "cbow"},
+        "sg-no-negatives": {"mode": "sg", "negatives": 0},
+        "cbow-min-count": {"mode": "cbow", "min_count": 2},
+    }
+    COMMON = {"dimension": 8, "window": 5, "negatives": 5, "epochs": 2, "seed": 7}
+    # the same bytes for both routes: the CLI reads back the tokens written here
+    DIGESTS = {
+        "sg": "bbf60bb8204d5d514e2077888da95e990a67153c53cbc6a6df65f7f14364c134",
+        "cbow": "6260fc3c1fbad640291cd71b550aec462c156b180533d285c8a09fb1cbfe9af7",
+        "sg-no-negatives": "3e1925b688c40cb5c7e5cb448bdf6e0fa1b82cfe3ea2f2fb75a1749e0e489dbe",
+        "cbow-min-count": "ae4a795de8c26c905ac8f2f469a5ec5855b24df4539112b97a4f8846ab3974d2",
+    }
+
+    @staticmethod
+    def sentences():
+        walks = []
+        for w in range(60):
+            tokens = [f"http://ex/e{(3 * w + 5 * j) % 17}" if j % 2 == 0 else f"http://ex/p{(w + j) % 4}"
+                      for j in range(9)]
+            if w % 10 == 0:
+                tokens[-1] = f"http://ex/once{w}"
+            walks.append(tokens)
+        return walks
+
+    def config(self, case):
+        return TrainConfig(**(self.COMMON | self.CASES[case]))
+
+    def digest(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_corpus_needs_several_chunks(self, case):
+        cfg = self.config(case)
+        vocab, ids, walk = _corpus_ids(self.sentences(), cfg.min_count)
+        examples = _examples(ids, walk, cfg.window, cfg.mode)[2].size
+        assert examples > 2 * _chunk_size(len(vocab), cfg.learning_rate, cfg.negatives)  # three chunks at least
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_train_and_save(self, tmp_path, case):
+        out = tmp_path / "model.txt"
+        save_model(train(self.sentences(), self.config(case)), out)
+        assert self.digest(out) == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cli_train(self, tmp_path, case):
+        cfg = self.config(case)
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "model.txt"
+        corpus.write_text("".join(" ".join(tokens) + "\n" for tokens in self.sentences()))
+        rc = main(["train", "--corpus", str(corpus), "--mode", cfg.mode, "--dim", str(cfg.dimension),
+                   "--window", str(cfg.window), "--negatives", str(cfg.negatives), "--epochs", str(cfg.epochs),
+                   "--min-count", str(cfg.min_count), "--seed", str(cfg.seed), "--out", str(out)])
+        assert rc == 0
+        assert self.digest(out) == self.DIGESTS[case]
