@@ -5,8 +5,8 @@ independently. Every command records a flat ``key=value`` manifest next to
 its output: the resolved configuration and input digests are written before
 the stage produces anything, wall-clock timings are appended afterwards.
 Re-running a command with the flags recorded in its manifest reproduces the
-output byte for byte; for ``train`` that needs ``--workers 1``. Walks always
-run on one thread, so ``walk`` accepts only ``--workers 1``.
+output byte for byte. Walks and training run on one thread, so ``--workers``
+accepts only 1.
 
 Exit codes: 0 success; 2 usage, including a flag out of range and a
 learning rate at which training diverges; 3 environment/IO, including a
@@ -204,6 +204,12 @@ def positive_int(text: str) -> int:
     return value
 
 
+def one_worker(text: str) -> int:
+    if int(text) != 1:
+        raise argparse.ArgumentTypeError("walks and training run on one thread: only 1 is accepted")
+    return 1
+
+
 def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--depth", type=positive_int, default=4, help="node hops beyond the anchor (default 4)")
     walk.add_argument("--include-literals", action="store_true")
     walk.add_argument("--seed", type=int, default=42)
-    walk.add_argument("--workers", type=int, default=1, help="walks run on one thread: only 1 is accepted")
+    walk.add_argument("--workers", type=one_worker, default=1, help="walks run on one thread: only 1 is accepted")
     walk.add_argument("--out", default="corpus.txt.gz")
     walk.set_defaults(func=cmd_walk)
 
@@ -269,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--learning-rate", type=positive_float, default=None)
     train_p.add_argument("--min-count", type=positive_int, default=1)
     train_p.add_argument("--seed", type=nonnegative_int, default=42)
-    train_p.add_argument("--workers", type=positive_int, default=1)
+    train_p.add_argument("--workers", type=one_worker, default=1,
+                         help="training runs on one thread: only 1 is accepted")
     train_p.add_argument("--out", default="model.txt")
     train_p.set_defaults(func=cmd_train)
 
@@ -306,8 +313,6 @@ def _read_entity_file(path: str | Path) -> list[str]:
 
 def cmd_walk(args) -> int:
     started = time.perf_counter()
-    if args.workers != 1:
-        raise UsageError("walks run on one thread, so --workers must be 1 (--workers applies to train)")
     sources = []
     for graph_path in args.graph:
         if args.format:
@@ -442,7 +447,6 @@ def cmd_train(args) -> int:
         "learning_rate": cfg.learning_rate,
         "min_count": cfg.min_count,
         "seed": cfg.seed,
-        "workers": args.workers,
         "out": args.out,
     }
     write_manifest(manifest_path(args.out), manifest)
@@ -450,7 +454,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     sentences = read_corpus_tokens(args.corpus)
     read_done = time.perf_counter()
-    model = train(sentences, cfg, workers=args.workers)
+    model = train(sentences, cfg)
     train_done = time.perf_counter()
     save_model(model, args.out)
     save_done = time.perf_counter()
@@ -499,7 +503,10 @@ def _density_corpus(args) -> WalkCorpus:
         source = manifest_path(args.corpus)
         if source.exists():
             recorded = read_manifest(source).get("entities.path", "")
-            if recorded and recorded != "all":
+            if recorded == "all":
+                # a classic walk starts at its anchor, and "all" anchored walks at every subject
+                entities = list(dict.fromkeys(tokens[0] for tokens in sentences))
+            elif recorded:
                 entities = _read_entity_file(recorded)
     walks = [Walk(tokens, 0) for tokens in sentences]
     return WalkCorpus(walks, entities, None)  # type: ignore[arg-type]

@@ -23,10 +23,11 @@ Updates are applied in vectorized batches: gradients for a batch are computed
 against the tables as they stood when the batch started, and each table
 receives them through one reduce-by-key pass (a stable sort of the target
 rows, then one segment sum per distinct row). The summation order depends
-only on the batch, so single-worker runs are bit-reproducible.
+only on the batch, and the chunks run in order on one thread, so every run is
+bit-reproducible.
 
-Each worker owns one set of work buffers (:class:`_WorkBuffers`), built once
-per :func:`train` call from the chunk size, and every kernel step writes into
+One set of work buffers (:class:`_WorkBuffers`), built once per :func:`train`
+call from the chunk size, serves every chunk, and every kernel step writes into
 views of it: gathers through ``np.take(..., mode="clip", out=...)``, matmuls
 and segment sums through ``out=``. A chunk's temporaries are 0.3-0.8 MB each,
 past glibc's mmap threshold, so allocating them per chunk handed the memory
@@ -46,11 +47,9 @@ from __future__ import annotations
 import logging
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,11 +92,12 @@ def _check_rows(ids: np.ndarray, size: int) -> None:
 
 
 class _WorkBuffers:
-    """One worker's work arrays for :func:`_process_chunk` (see the module
-    docstring). They fit any chunk of at most ``batch`` examples with
-    ``width`` input slots whose negatives are at most ``groups`` rows of
-    ``negatives`` draws. A chunk still allocates what is not ``dim`` wide:
-    the sort and mask indexes, and the loss's temporaries over the scores."""
+    """The work arrays that every :func:`_process_chunk` call of one
+    :func:`train` run writes into (see the module docstring). They fit any
+    chunk of at most ``batch`` examples with ``width`` input slots whose
+    negatives are at most ``groups`` rows of ``negatives`` draws. A chunk
+    still allocates what is not ``dim`` wide: the sort and mask indexes, and
+    the loss's temporaries over the scores."""
 
     def __init__(self, batch: int, groups: int, width: int, negatives: int, dim: int, vocab: int):
         out_terms = batch + groups * negatives  # the targets, then one row per group and draw
@@ -491,22 +491,23 @@ def train(
     """Train a model on a corpus of token sequences, which is read once.
 
     The learning rate decays linearly from ``cfg.learning_rate`` to one
-    ten-thousandth of it over all scheduled updates. With ``workers=1`` the
-    result is bit-identical across runs for a fixed seed. More workers run
-    chunks in threads that update the shared tables without locking, in the
-    Hogwild style (Recht et al., 2011): concurrent chunks read stale rows and
-    may overwrite each other's row updates, which the similarity contracts
-    tolerate. Each thread owns one set of work buffers. The numpy calls
-    release the GIL, so on 2 vCPUs ``workers=2`` trains faster, at a worse
-    loss per epoch and without reproducibility: skip-gram on a hub-heavy
-    corpus (1.8k tokens, 5 epochs) took 0.156 s against 0.167 s with one
-    worker (median of ten interleaved runs, two faster in 9 of 10), at a
-    final loss of 4.18-4.22 against 4.15; on 45k tokens, one epoch took
-    0.64 s against 0.81 s (10 of 10), at a loss of 9.07-9.67 against 7.85.
+    ten-thousandth of it over all scheduled updates. The chunks run in order
+    on the calling thread, so the result is bit-identical across runs for a
+    fixed seed. ``workers`` is kept for callers that pass ``workers=1``; any
+    other value raises ``ValueError``. Chunks in concurrent threads, updating
+    the shared tables without locks (Hogwild, Recht et al., 2011), lost
+    accuracy: predicate rows are in nearly every chunk, and one chunk's row
+    update can overwrite another's. On the bench graphs (``bench/gen.py``
+    seed 7, train seeds 21-25, median kNN accuracy with k = 3 over 10 folds),
+    two threads scored 0.937 against 0.940 in skip-gram at 4 walks per
+    entity, 0.983 against 0.993 in CBOW at 12 walks, and 0.950 against 1.000
+    in CBOW at 500 walks, where they were 1.2-1.7x faster in wall-clock.
 
     Each epoch logs one line and appends an :class:`EpochStats` to
     ``model.epoch_stats``.
     """
+    if workers != 1:
+        raise ValueError("training runs on one thread: workers must be 1")
     cfg = cfg or TrainConfig()
     vocab, ids, walk = _corpus_ids(sentences, cfg.min_count)
     if len(vocab) == 0:
@@ -532,36 +533,27 @@ def train(
     total_scheduled = n_updates * cfg.epochs
     chunk = _chunk_size(size, lr0, cfg.negatives)
     spans = [(s, min(s + chunk, n_updates)) for s in range(0, n_updates, chunk)]
-    # one buffer set per chunk in flight, taken from the queue and put back
     batch = min(chunk, n_updates)
-    free_work: SimpleQueue[_WorkBuffers] = SimpleQueue()
-    for _ in range(max(1, min(workers, len(spans)))):
-        free_work.put(_WorkBuffers(batch, -(-batch // NEGATIVE_GROUP), inputs.shape[1], cfg.negatives, dim, size))
+    work = _WorkBuffers(batch, -(-batch // NEGATIVE_GROUP), inputs.shape[1], cfg.negatives, dim, size)
     epoch_stats: list[EpochStats] = []
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-
-        def run_chunk(item):
-            ci, (lo, hi) = item
+        loss, row_updates, rows_clipped = 0.0, 0, 0
+        for ci, (lo, hi) in enumerate(spans):
             chunk_rng = np.random.default_rng((cfg.seed, epoch, ci))
             draws = chunk_rng.random((-(-(hi - lo) // NEGATIVE_GROUP), cfg.negatives))
             negatives = np.searchsorted(cumulative, draws).astype(np.int64)
             progress = (epoch * n_updates + lo) / total_scheduled
             with np.errstate(over="ignore"):  # a rate past float32 range diverges, and the loss guard says so
                 lr = np.float32(lr0 * (1.0 - (1.0 - _LR_FLOOR_RATIO) * progress))
-            work = free_work.get()
-            try:
-                return _process_chunk(w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr, work)
-            finally:
-                free_work.put(work)
-
-        if workers <= 1:
-            results = [run_chunk(item) for item in enumerate(spans)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_chunk, enumerate(spans)))
-        mean_loss = sum(r[0] for r in results) / n_updates
+            chunk_loss, _, rows, clipped = _process_chunk(
+                w_in, w_out, inputs[lo:hi], mask[lo:hi], targets[lo:hi], negatives, lr, work
+            )
+            loss += chunk_loss
+            row_updates += rows
+            rows_clipped += clipped
+        mean_loss = loss / n_updates
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(
                 f"non-finite loss {mean_loss} in epoch {epoch + 1} (initial rate {lr0}); lower the learning rate"
@@ -571,8 +563,8 @@ def train(
             loss=mean_loss,
             seconds=elapsed,
             pairs_per_s=n_updates / elapsed if elapsed > 0 else float("inf"),
-            row_updates=sum(r[2] for r in results),
-            rows_clipped=sum(r[3] for r in results),
+            row_updates=row_updates,
+            rows_clipped=rows_clipped,
         )
         epoch_stats.append(stats)
         rate = ids.size / elapsed if elapsed > 0 else float("inf")

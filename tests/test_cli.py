@@ -331,6 +331,19 @@ class TestTrainCommand:
         assert manifest["strategy"] == "Light_12_3_SG_16"
         assert manifest["learning_rate"] == "0.025"
         assert manifest["negative_group"] == str(NEGATIVE_GROUP)  # model bytes depend on it
+        assert "workers" not in manifest  # training always runs on one thread
+
+    def test_more_than_one_worker_exit_2_writes_nothing(self, workspace, capsys):
+        tmp_path, graph_file, entities_file, _, _ = workspace
+        _, corpus = run_walk(tmp_path, graph_file, entities_file)
+        model_file = tmp_path / "model.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--corpus", str(corpus), "--dim", "8", "--epochs", "1", "--workers", "2",
+                  "--out", str(model_file)])
+        assert err.value.code == 2
+        assert "error: argument --workers: walks and training run on one thread" in capsys.readouterr().err
+        assert not model_file.exists()
+        assert not manifest_path(model_file).exists()
 
     def test_epoch_counters_and_phase_timings_in_manifest(self, workspace, capsys):
         tmp_path, graph_file, entities_file, _, _ = workspace
@@ -600,6 +613,27 @@ class TestEvalCommand:
         assert main(density) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "entities.txt" in err
+
+    def test_density_classic_all_anchors_every_walked_subject(self, workspace, capsys):
+        """A classic corpus walked with --entities all records no entity file;
+        its anchors are the subjects its walks start at, so the report equals
+        the one for an entity file that lists every subject of the graph."""
+        tmp_path, graph_file, _, _, _ = workspace
+        corpus, model_file = tmp_path / "classic.txt", tmp_path / "model.txt"
+        assert main(["walk", "--graph", str(graph_file), "--mode", "classic", "--entities", "all",
+                     "--walks", "2", "--depth", "2", "--seed", "3", "--out", str(corpus)]) == 0
+        assert main(["train", "--corpus", str(corpus), "--dim", "8", "--epochs", "1", "--out", str(model_file)]) == 0
+        subjects = tmp_path / "subjects.txt"
+        graph = load_graph([(graph_file, "ntriples")])
+        subjects.write_text("".join(f"{graph.resolve(s)}\n" for s in dict.fromkeys(s for s, _, _ in graph.triples())))
+        capsys.readouterr()
+        rows = []
+        for extra in ([], ["--entities", str(subjects)]):
+            assert main(["eval", "--model", str(model_file), "--task", "density", "--corpus", str(corpus),
+                         *extra]) == 0
+            rows.append(next(line for line in capsys.readouterr().out.splitlines() if ",mean_anchor_degree," in line))
+        assert float(rows[0].rsplit(",", 1)[1]) > 0
+        assert rows[0] == rows[1]
 
     def test_gold_task_without_gold_is_usage_error(self, trained):
         _, _, model_file, _, _ = trained

@@ -304,10 +304,11 @@ class TestWalkProperties:
         entities_file = tmp_path / "e.txt"
         entities_file.write_text("".join(f"{e}\n" for e in entities))
         out = tmp_path / "c.txt"
-        rc = main(["walk", "--graph", str(graph_file), "--entities", str(entities_file),
-                   "--workers", "2", "--out", str(out)])
-        assert rc == 2
-        assert "--workers applies to train" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["walk", "--graph", str(graph_file), "--entities", str(entities_file),
+                  "--workers", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert "error: argument --workers: walks and training run on one thread" in capsys.readouterr().err
         assert not out.exists()
 
     def test_entity_order_does_not_change_output(self):
